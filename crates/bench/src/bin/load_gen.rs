@@ -470,8 +470,8 @@ fn run_update_heavy() -> serde_json::Value {
     assert_eq!(a.location.y.to_bits(), b.location.y.to_bits());
 
     // (3) Epoch-publish cost: the serve writer clones the whole world
-    // once per published epoch. With structurally shared position logs
-    // this copies Arc spines, not trajectories.
+    // once per published epoch. Object rows sit in copy-on-write pages,
+    // so this costs one reference count per 16 rows, not a row copy.
     let reps = 200u32;
     let clone_started = Instant::now();
     for _ in 0..reps {

@@ -54,10 +54,19 @@
 //! measure what delta-validation buys and tests can cross-check the two
 //! paths op-for-op.
 //!
-//! Object positions live in structurally shared [`PositionLog`] chunks,
-//! so appending is O(1) amortised (no per-append rebuild of the
-//! position vector) and cloning the whole state — the serving layer's
-//! epoch-publish step — copies `Arc` spines instead of trajectories.
+//! # Structural sharing (the O(pages) clone)
+//!
+//! The serving layer clones the whole state once per published epoch,
+//! so a clone must not cost O(objects). The object rows — each with its
+//! [`PositionLog`], pruning geometry, influence bitmask and index-dirty
+//! flag — live in 16-row pages of a copy-on-write [`CowVec`], and both
+//! spatial indexes sit behind [`Arc`] and are replaced wholesale on
+//! rebuild. A clone is therefore O(rows / 16 + candidates), and an
+//! update copies only the row pages it writes. Every mutation path
+//! reads a row first and writes it only when the row's bits actually
+//! change: clearing a removed candidate's bit, validating a fresh
+//! candidate and the dirty-flag sweep of an index rebuild all touch
+//! O(changed) pages, so an older clone keeps sharing everything else.
 //!
 //! Every operation leaves the structure in a state identical to
 //! rebuilding from scratch (asserted extensively by the tests and the
@@ -65,12 +74,13 @@
 
 use crate::eval::EvalKernel;
 use crate::result::Algorithm;
-use pinocchio_data::{MovingObject, PositionLog};
+use pinocchio_data::{CowVec, MovingObject, PositionLog};
 use pinocchio_geo::{InfluenceRegions, Mbr, Point, RegionVerdict};
 use pinocchio_index::{MbrTree, RTree};
 use pinocchio_prob::{min_max_radius, CumulativeProbability, LogPfTable, ProbabilityFunction};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// One influence verdict over a shared position log: the log-domain
 /// chunked kernel when a table is supplied (guard-banded, with any
@@ -129,6 +139,27 @@ struct ObjectRow {
     regions: Option<InfluenceRegions>,
     /// Bit `j` set ⇔ candidate slot `j` influences this object.
     influenced_by: Vec<u64>,
+    /// The row is indexed by `obj_tree` but changed since the build
+    /// (it is then listed in `obj_dirty_list`): its build-time verdicts
+    /// are stale and it is validated per row instead.
+    dirty: bool,
+}
+
+/// Rows per copy-on-write page. A row clone allocates (its position-log
+/// spine and influence mask), so the first write to a page after a
+/// clone costs `ROW_PAGE` row clones, while a world clone costs one
+/// reference count per page (DESIGN.md §13 has the measured
+/// trade-off). Rows stay inline in their page, so the freeze reads
+/// them sequentially.
+const ROW_PAGE: usize = 16;
+
+/// Object rows by slot (see [`ROW_PAGE`]).
+type ObjectRows = CowVec<Option<ObjectRow>, ROW_PAGE>;
+
+/// Mutable access to live row `slot`, copying its page first when an
+/// older clone still shares it.
+fn row_mut(rows: &mut ObjectRows, slot: usize) -> Option<&mut ObjectRow> {
+    rows.make_mut(slot).as_mut()
 }
 
 /// Calls `f` with the index of every set bit.
@@ -172,8 +203,11 @@ pub struct DynamicPrimeLs<P> {
     /// Present iff `kernel == LogBlocked` and the PF's log table
     /// converged; the Blocked kernel has no chunked form, so both it
     /// and table-less LogBlocked fall back to the scalar chunked scan.
-    log_table: Option<LogPfTable>,
-    objects: Vec<Option<ObjectRow>>,
+    /// Immutable once built, so clones share it.
+    log_table: Option<Arc<LogPfTable>>,
+    /// Object rows by slot (slots are never reused; a removed object
+    /// leaves `None`).
+    objects: ObjectRows,
     candidates: Vec<Option<Point>>,
     /// Exact `inf(c)` per candidate slot (0 for freed slots).
     influences: Vec<u32>,
@@ -184,24 +218,25 @@ pub struct DynamicPrimeLs<P> {
     free_candidates: BinaryHeap<Reverse<usize>>,
     /// Live candidates indexed by location; payload `(slot, generation)`
     /// so entries of freed (possibly reused) slots are filtered out at
-    /// query time instead of requiring R-tree deletion.
-    cand_tree: RTree<(usize, u32)>,
+    /// query time instead of requiring R-tree deletion. Shared between
+    /// clones until the next insert or rebuild.
+    cand_tree: Arc<RTree<(usize, u32)>>,
     /// Per-slot generation, bumped on removal.
     cand_gen: Vec<u32>,
     /// Stale entries accumulated in `cand_tree`; rebuild past the
     /// threshold keeps queries O(live) amortised.
     cand_tree_stale: usize,
-    /// μ-aggregate index over live object slots (payload = slot).
-    obj_tree: MbrTree<usize>,
+    /// μ-aggregate index over live object slots (payload = slot);
+    /// immutable between rebuilds, so clones share it.
+    obj_tree: Arc<MbrTree<usize>>,
     /// Object slots `>= obj_indexed_upto` are newer than the last
     /// `obj_tree` build (object slots are never reused, so this single
     /// watermark captures all inserts since then).
     obj_indexed_upto: usize,
     /// Indexed slots whose geometry changed since the build (appends,
-    /// removals); their tree verdicts are stale and they are validated
-    /// per-row instead.
-    obj_dirty: Vec<bool>,
-    obj_dirty_list: Vec<usize>,
+    /// removals), each listed once; their tree verdicts are stale and
+    /// they are validated per-row instead.
+    obj_dirty_list: CowVec<usize>,
     /// `minMaxRadius` memo by position count (index `n`; `[0]` unused)
     /// — the HM cache of Algorithm 1, so appends pay a lookup instead
     /// of re-inverting the PF.
@@ -242,19 +277,18 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             mode: MaintenanceMode::Delta,
             kernel: EvalKernel::default(),
             log_table: None,
-            objects: Vec::new(),
+            objects: CowVec::new(),
             candidates: Vec::new(),
             influences: Vec::new(),
             live_objects: 0,
             live_candidate_count: 0,
             free_candidates: BinaryHeap::new(),
-            cand_tree: RTree::new(),
+            cand_tree: Arc::new(RTree::new()),
             cand_gen: Vec::new(),
             cand_tree_stale: 0,
-            obj_tree: MbrTree::bulk_load(Vec::new()),
+            obj_tree: Arc::new(MbrTree::bulk_load(Vec::new())),
             obj_indexed_upto: 0,
-            obj_dirty: Vec::new(),
-            obj_dirty_list: Vec::new(),
+            obj_dirty_list: CowVec::new(),
             mu_by_n: Vec::new(),
             scratch_mask: Vec::new(),
             delta_influenced: Vec::new(),
@@ -336,7 +370,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     pub fn set_evaluation_kernel(&mut self, kernel: EvalKernel) {
         self.kernel = kernel;
         self.log_table = match kernel {
-            EvalKernel::LogBlocked => LogPfTable::try_new(&self.pf),
+            EvalKernel::LogBlocked => LogPfTable::try_new(&self.pf).map(Arc::new),
             _ => None,
         };
     }
@@ -525,19 +559,16 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
 
     // ---- index bookkeeping ----------------------------------------------
 
-    /// Marks an indexed object row as changed since the last `obj_tree`
-    /// build; its build-time verdicts are no longer trusted.
-    fn mark_object_changed(&mut self, slot: usize) {
-        if slot >= self.obj_indexed_upto {
-            return; // newer than the build: already handled as unindexed
-        }
-        if self.obj_dirty.len() <= slot {
-            self.obj_dirty.resize(slot + 1, false);
-        }
-        if !self.obj_dirty[slot] {
-            self.obj_dirty[slot] = true;
+    /// Records that the (taken-out) row of `slot`, whose dirty flag is
+    /// `dirty`, changed since the last `obj_tree` build, and returns its
+    /// new flag: its build-time verdicts are no longer trusted. Rows
+    /// newer than the build are already handled as unindexed.
+    fn mark_object_changed(&mut self, slot: usize, dirty: bool) -> bool {
+        if slot < self.obj_indexed_upto && !dirty {
             self.obj_dirty_list.push(slot);
+            return true;
         }
+        dirty
     }
 
     /// Rebuilds `obj_tree` when the changed-row backlog exceeds
@@ -558,12 +589,17 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
                 Some((regions.mbr(), regions.radius(), s))
             })
             .collect();
-        self.obj_tree = MbrTree::bulk_load(items);
+        self.obj_tree = Arc::new(MbrTree::bulk_load(items));
         self.obj_indexed_upto = self.objects.len();
-        for &s in &self.obj_dirty_list {
-            self.obj_dirty[s] = false;
+        // Only the listed rows carry the flag; removed ones left `None`.
+        for &s in self.obj_dirty_list.iter() {
+            if self.objects[s].is_some() {
+                if let Some(row) = row_mut(&mut self.objects, s) {
+                    row.dirty = false;
+                }
+            }
         }
-        self.obj_dirty_list.clear();
+        self.obj_dirty_list = CowVec::new();
     }
 
     /// Rebuilds `cand_tree` from the live candidates, dropping the
@@ -575,7 +611,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             .enumerate()
             .filter_map(|(j, c)| c.map(|p| (p, (j, self.cand_gen[j]))))
             .collect();
-        self.cand_tree = RTree::bulk_load(items);
+        self.cand_tree = Arc::new(RTree::bulk_load(items));
         self.cand_tree_stale = 0;
     }
 
@@ -592,6 +628,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             log,
             regions,
             influenced_by: vec![0; self.mask_words()],
+            dirty: false,
         };
         match self.mode {
             MaintenanceMode::FullScan => self.classify_candidates_into(&mut row, None),
@@ -614,13 +651,14 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     /// # Panics
     /// Panics on a stale handle.
     pub fn remove_object(&mut self, handle: ObjectHandle) -> MovingObject {
+        let taken = self.objects.make_mut(handle.0).take();
         // pinocchio-lint: allow(panic-path) -- documented `# Panics` contract: a stale handle is caller error, not a recoverable state
-        let row = self.objects[handle.0].take().expect("stale object handle");
+        let row = taken.expect("stale object handle");
         for_each_set_bit(&row.influenced_by, |j| {
             self.influences[j] -= 1;
         });
         self.live_objects -= 1;
-        self.mark_object_changed(handle.0);
+        self.mark_object_changed(handle.0, row.dirty);
         self.repair_best();
         row.log.to_object(row.id)
     }
@@ -637,8 +675,9 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     // pinocchio-hot: per-update entry point of the streaming maintenance path
     pub fn append_position(&mut self, handle: ObjectHandle, position: Point) {
         assert!(position.is_finite(), "non-finite position");
+        let taken = self.objects.make_mut(handle.0).take();
         // pinocchio-lint: allow(panic-path) -- documented `# Panics` contract: a stale handle is caller error, not a recoverable state
-        let mut row = self.objects[handle.0].take().expect("stale object handle");
+        let mut row = taken.expect("stale object handle");
         row.log.push(position);
         // n changed ⇒ minMaxRadius changed; the MBR may have grown (the
         // log maintains it incrementally).
@@ -666,8 +705,8 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             }
         }
         self.scratch_mask = previously;
-        self.objects[handle.0] = Some(row);
-        self.mark_object_changed(handle.0);
+        row.dirty = self.mark_object_changed(handle.0, row.dirty);
+        *self.objects.make_mut(handle.0) = Some(row);
     }
 
     /// Recomputes `row.influenced_by` by scanning **every** candidate
@@ -676,7 +715,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     /// are kept without re-validation (the monotone append rule).
     fn classify_candidates_into(&self, row: &mut ObjectRow, skip_influenced: Option<&[u64]>) {
         let eval = self.evaluator();
-        let table = self.log_table.as_ref();
+        let table = self.log_table.as_deref();
         let words = self.mask_words();
         row.influenced_by.resize(words, 0);
         for (j, cand) in self.candidates.iter().enumerate() {
@@ -731,7 +770,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             return;
         };
         let eval = self.evaluator();
-        let table = self.log_table.as_ref();
+        let table = self.log_table.as_deref();
         let tau = self.tau;
         let obj_mbr = regions.mbr();
         let nib_mbr = regions.nib_mbr();
@@ -790,7 +829,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             }
         };
         self.live_candidate_count += 1;
-        self.cand_tree.insert(location, (j, self.cand_gen[j]));
+        Arc::make_mut(&mut self.cand_tree).insert(location, (j, self.cand_gen[j]));
         let influence = match self.mode {
             MaintenanceMode::FullScan => self.validate_candidate_full(j, &location),
             MaintenanceMode::Delta => self.validate_candidate_delta(j, &location),
@@ -801,13 +840,17 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     }
 
     /// Full-scan influence computation for a fresh candidate at slot
-    /// `j`: classify + validate against every live row.
+    /// `j`: classify + validate against every live row (a row is written
+    /// only when its bit changes).
     fn validate_candidate_full(&mut self, j: usize, location: &Point) -> u32 {
         let eval = self.evaluator();
-        let table = self.log_table.as_ref();
+        let table = self.log_table.as_deref();
         let tau = self.tau;
         let mut influence = 0u32;
-        for row in self.objects.iter_mut().flatten() {
+        for s in 0..self.objects.len() {
+            let Some(row) = &self.objects[s] else {
+                continue;
+            };
             let influenced = match &row.regions {
                 None => false,
                 Some(regions) => match regions.classify(location) {
@@ -818,12 +861,16 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
                     }
                 },
             };
-            if influenced {
-                Self::set_bit(&mut row.influenced_by, j);
-                influence += 1;
-            } else {
-                Self::clear_bit(&mut row.influenced_by, j);
+            if influenced != Self::bit(&row.influenced_by, j) {
+                if let Some(row) = row_mut(&mut self.objects, s) {
+                    if influenced {
+                        Self::set_bit(&mut row.influenced_by, j);
+                    } else {
+                        Self::clear_bit(&mut row.influenced_by, j);
+                    }
+                }
             }
+            influence += u32::from(influenced);
         }
         influence
     }
@@ -848,30 +895,29 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             |&s| undecided_slots.push(s),
         );
         let eval = self.evaluator();
-        let table = self.log_table.as_ref();
+        let table = self.log_table.as_deref();
         let tau = self.tau;
         let mut influence = 0u32;
-        let is_dirty = |dirty: &[bool], s: usize| dirty.get(s).copied().unwrap_or(false);
-        for &s in &influenced_slots {
-            if is_dirty(&self.obj_dirty, s) {
-                continue; // build-time verdict stale: re-done below
-            }
-            let Some(row) = self.objects[s].as_mut() else {
-                continue; // removed since the build
-            };
-            Self::set_bit(&mut row.influenced_by, j);
-            influence += 1;
+        // A dirty row's build-time verdict is stale (re-done below); a
+        // `None` row was removed since the build.
+        fn clean(row: &Option<ObjectRow>) -> Option<&ObjectRow> {
+            row.as_ref().filter(|row| !row.dirty)
         }
-        for &s in &undecided_slots {
-            if is_dirty(&self.obj_dirty, s) {
+        for &s in &influenced_slots {
+            if clean(&self.objects[s]).is_none() {
                 continue;
             }
-            let influenced = match self.objects[s].as_ref() {
-                None => continue,
-                Some(row) => influenced_chunked(&eval, table, location, &row.log, tau),
+            if let Some(row) = row_mut(&mut self.objects, s) {
+                Self::set_bit(&mut row.influenced_by, j);
+                influence += 1;
+            }
+        }
+        for &s in &undecided_slots {
+            let Some(row) = clean(&self.objects[s]) else {
+                continue;
             };
-            if influenced {
-                if let Some(row) = self.objects[s].as_mut() {
+            if influenced_chunked(&eval, table, location, &row.log, tau) {
+                if let Some(row) = row_mut(&mut self.objects, s) {
                     Self::set_bit(&mut row.influenced_by, j);
                     influence += 1;
                 }
@@ -879,12 +925,12 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
         }
         // Rows the index does not speak for: changed since the build,
         // or inserted after it. Bounded by the rebuild threshold.
-        let changed: Vec<usize> = self.obj_dirty_list.clone();
-        for s in changed
-            .into_iter()
-            .chain(self.obj_indexed_upto..self.objects.len())
+        let unindexed = self.obj_indexed_upto..self.objects.len();
+        for s in (0..self.obj_dirty_list.len())
+            .map(|k| self.obj_dirty_list[k])
+            .chain(unindexed)
         {
-            let Some(row) = self.objects[s].as_mut() else {
+            let Some(row) = &self.objects[s] else {
                 continue;
             };
             debug_assert!(
@@ -902,10 +948,15 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
                 },
             };
             if influenced {
-                Self::set_bit(&mut row.influenced_by, j);
-                influence += 1;
+                if let Some(row) = row_mut(&mut self.objects, s) {
+                    Self::set_bit(&mut row.influenced_by, j);
+                    influence += 1;
+                }
             }
         }
+        // Hand the buffers back empty, so a clone copies no slot list.
+        influenced_slots.clear();
+        undecided_slots.clear();
         self.delta_influenced = influenced_slots;
         self.delta_undecided = undecided_slots;
         influence
@@ -921,9 +972,25 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             // pinocchio-lint: allow(panic-path) -- documented `# Panics` contract: a stale handle is caller error, not a recoverable state
             .expect("stale candidate handle");
         self.influences[handle.0] = 0;
-        for row in self.objects.iter_mut().flatten() {
-            Self::clear_bit(&mut row.influenced_by, handle.0);
+        // Read every row, write only the ones holding the bit.
+        let mut holders = std::mem::take(&mut self.delta_influenced);
+        holders.extend(
+            self.objects
+                .iter()
+                .enumerate()
+                .filter(|(_, row)| {
+                    row.as_ref()
+                        .is_some_and(|row| Self::bit(&row.influenced_by, handle.0))
+                })
+                .map(|(s, _)| s),
+        );
+        for &s in &holders {
+            if let Some(row) = row_mut(&mut self.objects, s) {
+                Self::clear_bit(&mut row.influenced_by, handle.0);
+            }
         }
+        holders.clear();
+        self.delta_influenced = holders;
         self.live_candidate_count -= 1;
         self.free_candidates.push(Reverse(handle.0));
         // Invalidate the slot's R-tree entries; rebuild once stale
@@ -1472,6 +1539,45 @@ mod tests {
         assert_eq!(d.objects().count(), 1);
         d.remove_object(o);
         assert!(d.to_prime_ls().is_err(), "objects all removed again");
+    }
+
+    #[test]
+    fn clone_then_appends_copies_at_most_one_row_page_each() {
+        // The epoch-publish contract: a clone shares every row page and
+        // both indexes, and k appends on the live side copy at most k
+        // row pages — the clone keeps all the others physically.
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut d = fresh(0.7);
+        for _ in 0..8 {
+            d.insert_candidate(Point::new(
+                rng.gen_range(0.0..30.0),
+                rng.gen_range(0.0..20.0),
+            ));
+        }
+        let handles: Vec<_> = (0..1000)
+            .map(|i| d.insert_object(rng_object(&mut rng, i)))
+            .collect();
+        let snapshot = d.clone();
+        let pages = d.objects.page_count();
+        assert!(pages >= 15, "{pages} pages");
+        for p in 0..pages {
+            assert!(d.objects.shares_page(&snapshot.objects, p), "page {p}");
+        }
+        for k in 1..=12 {
+            let h = handles[rng.gen_range(0..handles.len())];
+            d.append_position(
+                h,
+                Point::new(rng.gen_range(0.0..30.0), rng.gen_range(0.0..20.0)),
+            );
+            let copied = (0..pages)
+                .filter(|&p| !d.objects.shares_page(&snapshot.objects, p))
+                .count();
+            assert!(copied <= k, "{copied} pages copied after {k} appends");
+        }
+        assert!(Arc::ptr_eq(&d.obj_tree, &snapshot.obj_tree));
+        assert!(Arc::ptr_eq(&d.cand_tree, &snapshot.cand_tree));
+        d.verify_against_static();
+        snapshot.verify_against_static();
     }
 
     #[test]

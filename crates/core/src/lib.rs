@@ -61,7 +61,7 @@ pub use parallel::{solve_vo as solve_vo_par, try_solve_vo as try_solve_vo_par};
 pub use problem::{BuildError, PrimeLs, PrimeLsBuilder};
 pub use result::{argmax_smallest_index, Algorithm, SolveError, SolveResult, SolveStats};
 pub use shard::{
-    shard_of, solve_sharded, try_solve_sharded, try_solve_sharded_timed, ShardTimings,
+    shard_of, solve_sharded, splitmix64, try_solve_sharded, try_solve_sharded_timed, ShardTimings,
     ShardedPrimeLs,
 };
 pub use state::{A2d, ObjectEntry};

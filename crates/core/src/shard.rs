@@ -40,11 +40,10 @@
 //! set drains, while `vo::validate_tile` asserts per-slot bound closure
 //! — an invariant that holds per shard only in the unsharded drivers.
 //!
-//! This module is the in-process seam for multi-process sharding: the
-//! per-shard inputs ([`PrimeLs`]) and outputs (bounds + verification
-//! sets + [`SolveStats`]) are plain data, so a future transport can move
-//! them across processes without touching the merge; see
-//! `pinocchio-serve`'s `ShardTransport` and DESIGN.md §16.
+//! The per-shard inputs ([`PrimeLs`]) and outputs (bounds +
+//! verification sets + [`SolveStats`]) are plain data, so the merge does
+//! not care where a shard lives; `pinocchio-serve`'s `ShardedWorld`
+//! holds its shards in process (DESIGN.md §16).
 
 use crate::eval::EvalKernel;
 use crate::problem::{BuildError, PrimeLs};
@@ -59,17 +58,24 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The shard that owns an object, from a deterministic hash of its wire
-/// id — stable across processes, epochs and restarts, so routing never
-/// depends on insertion order. The mixer is the splitmix64 finalizer
-/// (full-avalanche, so sequential ids spread evenly).
-pub fn shard_of(object_id: u64, shard_count: usize) -> usize {
-    assert!(shard_count > 0, "need at least one shard");
-    let mut h = object_id.wrapping_add(0x9e37_79b9_7f4a_7c15);
+/// The splitmix64 finalizer: a full-avalanche 64-bit mix, so
+/// sequential ids spread evenly over every bit. [`shard_of`] routes by
+/// its value modulo the shard count; hash tables keyed by object id
+/// should index by its *high* bits, which that residue leaves
+/// independent.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut h = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    usize::try_from(h % (shard_count as u64)).unwrap_or(0)
+    h ^ (h >> 31)
+}
+
+/// The shard that owns an object, from a deterministic hash of its wire
+/// id ([`splitmix64`]) — stable across processes, epochs and restarts,
+/// so routing never depends on insertion order.
+pub fn shard_of(object_id: u64, shard_count: usize) -> usize {
+    assert!(shard_count > 0, "need at least one shard");
+    usize::try_from(splitmix64(object_id) % (shard_count as u64)).unwrap_or(0)
 }
 
 /// An object-partitioned PRIME-LS instance: one [`PrimeLs`] per

@@ -14,11 +14,14 @@
 //! * [`MovingObject`] / [`Dataset`] / [`Venue`] — the data model,
 //!   including per-venue ground-truth visit counts used by the
 //!   effectiveness experiments (Tables 3–4),
+//! * [`cowvec`] — [`CowVec`], the copy-on-write chunked vector every
+//!   structurally shared snapshot is built on (O(pages) clone, plain
+//!   indexing, a write copies at most one page),
 //! * [`arena`] — the flat structure-of-arrays [`PositionArena`] with
 //!   per-block MBRs that backs the blocked evaluation kernel,
 //! * [`poslog`] — the structurally shared, append-friendly
 //!   [`PositionLog`] backing the dynamic maintenance path (O(1)
-//!   amortised append, chunk-sharing clone),
+//!   amortised append, a [`CowVec`] of positions),
 //! * [`gen`] — the `FoursquareLike` / `GowallaLike` generators,
 //! * [`stats`] — dataset statistics (regenerates Table 2),
 //! * [`sampling`] — deterministic sub-sampling of objects, positions and
@@ -31,6 +34,7 @@
 #![deny(missing_docs)]
 
 pub mod arena;
+pub mod cowvec;
 pub mod dataset;
 pub mod gen;
 pub mod io;
@@ -41,6 +45,7 @@ pub mod stats;
 pub mod trajectory;
 
 pub use arena::{PositionArena, BLOCK_SIZE};
+pub use cowvec::{CowVec, COW_PAGE};
 pub use dataset::{Dataset, Venue};
 pub use gen::{GeneratorConfig, SyntheticGenerator};
 pub use object::MovingObject;

@@ -1,4 +1,4 @@
-//! Structurally shared, append-friendly position storage.
+//! Append-friendly position storage with structurally shared chunks.
 //!
 //! The dynamic maintenance path ([`DynamicPrimeLs`] in
 //! `pinocchio-core`) and the serving layer's epoch-snapshot writer both
@@ -8,17 +8,17 @@
 //! * **O(1) amortised append** — a position stream appends one
 //!   observation at a time; rebuilding the whole vector per append is
 //!   O(n) each, O(n²) over the stream;
-//! * **O(n / chunk) clone** — the serve writer clones the entire world
-//!   once per published epoch, and deep-copying every trajectory makes
-//!   the epoch-publish cost proportional to the total position count.
+//! * **a clone that copies no position** — an object row is copied
+//!   whenever a copy-on-write page of rows is, so a log clone must not
+//!   copy its trajectory.
 //!
-//! [`PositionLog`] stores positions in fixed-capacity chunks behind
-//! [`Arc`]s. Cloning a log clones only the `Arc` spine (one pointer per
-//! chunk); appending uses [`Arc::make_mut`] on the last chunk, which
-//! mutates in place when the chunk is unshared and copies **at most one
-//! chunk** when an older snapshot still holds it (copy-on-write). The
-//! bounding box is maintained incrementally, so `mbr()` is O(1) rather
-//! than a scan.
+//! [`PositionLog`] is a [`CowVec`] of positions plus an incrementally
+//! maintained bounding box: a clone costs one reference-count increment
+//! per chunk of [`POSITION_CHUNK`] positions, an append copies at most
+//! the last chunk when an older snapshot still holds it, and `mbr()` is
+//! O(1) rather than a scan. (Cloning a whole world is cheaper still:
+//! the rows themselves sit in shared pages, so an untouched log is not
+//! even visited.)
 //!
 //! Iteration order is arrival order, exactly as the flat `A_1D` layout:
 //! [`PositionLog::chunks`] yields the positions as consecutive slices,
@@ -28,25 +28,21 @@
 //!
 //! [`DynamicPrimeLs`]: ../pinocchio_core/dynamic/struct.DynamicPrimeLs.html
 
+use crate::cowvec::{CowVec, COW_PAGE};
 use crate::object::MovingObject;
 use pinocchio_geo::{Mbr, Point};
-use std::sync::Arc;
 
-/// Number of positions per chunk. Chosen so the per-clone cost is
-/// `len / 64` pointer copies while a copy-on-write append touches at
-/// most 64 positions — both far below the O(n) they replace.
-pub const POSITION_CHUNK: usize = 64;
+/// Number of positions per chunk: one [`CowVec`] page.
+pub const POSITION_CHUNK: usize = COW_PAGE;
 
 /// An append-only position sequence stored in structurally shared
 /// chunks (see the module docs for the cost model).
 ///
-/// Invariants: never empty; every chunk except the last is exactly
-/// [`POSITION_CHUNK`] long; all positions are finite; `mbr` is the
+/// Invariants: never empty; all positions are finite; `mbr` is the
 /// tight bounding box of all positions.
 #[derive(Debug, Clone)]
 pub struct PositionLog {
-    chunks: Vec<Arc<Vec<Point>>>,
-    len: usize,
+    points: CowVec<Point>,
     mbr: Mbr,
 }
 
@@ -65,14 +61,9 @@ impl PositionLog {
             positions.iter().all(Point::is_finite),
             "position log has a non-finite position"
         );
-        let chunks = positions
-            .chunks(POSITION_CHUNK)
-            .map(|c| Arc::new(c.to_vec()))
-            .collect();
         let mbr = Mbr::from_points(positions).unwrap_or(Mbr::from_point(positions[0]));
         PositionLog {
-            chunks,
-            len: positions.len(),
+            points: CowVec::from_slice(positions),
             mbr,
         }
     }
@@ -90,31 +81,21 @@ impl PositionLog {
     /// Panics on a non-finite position.
     pub fn push(&mut self, position: Point) {
         assert!(position.is_finite(), "non-finite position");
-        match self.chunks.last_mut() {
-            Some(last) if last.len() < POSITION_CHUNK => {
-                Arc::make_mut(last).push(position);
-            }
-            _ => {
-                let mut chunk = Vec::with_capacity(POSITION_CHUNK);
-                chunk.push(position);
-                self.chunks.push(Arc::new(chunk));
-            }
-        }
-        self.len += 1;
+        self.points.push(position);
         self.mbr.expand_to(&position);
     }
 
     /// Number of stored positions (always ≥ 1).
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.points.len()
     }
 
     /// Always `false` — kept for API symmetry with the usual
     /// `len`/`is_empty` pairing.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.points.is_empty()
     }
 
     /// The tight bounding box of all positions, maintained incrementally
@@ -128,19 +109,19 @@ impl PositionLog {
     /// Concatenating the slices reproduces the flat `A_1D` layout
     /// exactly.
     pub fn chunks(&self) -> impl Iterator<Item = &[Point]> {
-        self.chunks.iter().map(|c| c.as_slice())
+        self.points.pages()
     }
 
     /// Iterates over all positions in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = &Point> {
-        self.chunks.iter().flat_map(|c| c.iter())
+        self.points.iter()
     }
 
     /// Materialises the positions into a contiguous vector (O(n); used
     /// only by from-scratch solve paths, never by the update path).
     pub fn to_positions(&self) -> Vec<Point> {
-        let mut out = Vec::with_capacity(self.len);
-        for chunk in &self.chunks {
+        let mut out = Vec::with_capacity(self.len());
+        for chunk in self.chunks() {
             out.extend_from_slice(chunk);
         }
         out
@@ -209,22 +190,22 @@ mod tests {
         let a: Vec<&[Point]> = log.chunks().collect();
         let b: Vec<&[Point]> = snapshot.chunks().collect();
         assert_eq!(a, b);
-        assert!(Arc::ptr_eq(&log.chunks[0], &snapshot.chunks[0]));
-        assert!(Arc::ptr_eq(&log.chunks[2], &snapshot.chunks[2]));
+        assert!(log.points.shares_page(&snapshot.points, 0));
+        assert!(log.points.shares_page(&snapshot.points, 2));
 
         // Appending to the live log copies at most the last (shared)
         // chunk; the snapshot is untouched.
         log.push(Point::new(1000.0, 1000.0));
         assert_eq!(snapshot.len(), 2 * POSITION_CHUNK + 3);
         assert_eq!(log.len(), 2 * POSITION_CHUNK + 4);
-        assert!(Arc::ptr_eq(&log.chunks[0], &snapshot.chunks[0]));
-        assert!(!Arc::ptr_eq(&log.chunks[2], &snapshot.chunks[2]));
+        assert!(log.points.shares_page(&snapshot.points, 0));
+        assert!(!log.points.shares_page(&snapshot.points, 2));
         assert!(snapshot.iter().all(|p| *p != Point::new(1000.0, 1000.0)));
 
         // Unshared appends mutate in place (no chunk churn).
-        let spine_before = log.chunks[2].as_ptr();
+        let spine_before = log.chunks().nth(2).unwrap().as_ptr();
         log.push(Point::new(5.0, 5.0));
-        assert_eq!(log.chunks[2].as_ptr(), spine_before);
+        assert_eq!(log.chunks().nth(2).unwrap().as_ptr(), spine_before);
     }
 
     #[test]

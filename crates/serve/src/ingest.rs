@@ -11,8 +11,13 @@
 //!
 //! `World` is `Clone`: the writer clones the current world, applies a
 //! batch of updates, and publishes the clone as the next epoch, leaving
-//! the previous epoch's snapshot untouched for in-flight readers.
+//! the previous epoch's snapshot untouched for in-flight readers. The
+//! clone is structural: the dynamic state's rows and the object id map
+//! sit in copy-on-write pages, so it costs O(objects / 16 + candidates)
+//! reference-count increments and the batch then copies only the pages
+//! it writes.
 
+use crate::idmap::IdMap;
 use crate::wire::{ErrorCode, UpdateOp, WireError};
 use pinocchio_core::{Algorithm, CandidateHandle, DynamicPrimeLs, MaintenanceMode, ObjectHandle};
 use pinocchio_data::MovingObject;
@@ -37,7 +42,7 @@ pub struct SolveOutcome {
 #[derive(Debug, Clone)]
 pub struct World {
     state: DynamicPrimeLs<PowerLawPf>,
-    objects: BTreeMap<u64, ObjectHandle>,
+    objects: IdMap<ObjectHandle>,
     candidates: BTreeMap<u64, CandidateHandle>,
     /// Reverse map so query answers can report wire ids. Kept exactly in
     /// sync with `candidates` by the apply paths.
@@ -52,7 +57,7 @@ impl World {
     pub fn new(tau: f64) -> World {
         World {
             state: DynamicPrimeLs::new(PowerLawPf::paper_default(), tau),
-            objects: BTreeMap::new(),
+            objects: IdMap::new(),
             candidates: BTreeMap::new(),
             candidate_ids: HashMap::new(),
         }
@@ -68,6 +73,7 @@ impl World {
         tau: f64,
     ) -> Result<World, WireError> {
         let mut world = World::new(tau);
+        world.objects = IdMap::with_capacity(objects.len());
         for (i, location) in candidates.into_iter().enumerate() {
             world.apply(&UpdateOp::InsertCandidate {
                 candidate: i as u64,
@@ -75,12 +81,30 @@ impl World {
             })?;
         }
         for object in objects {
-            world.apply(&UpdateOp::InsertObject {
-                object: object.id(),
-                positions: object.positions().to_vec(),
-            })?;
+            world.insert_object(object)?;
         }
         Ok(world)
+    }
+
+    /// Inserts `object` under its own id, moving its positions into the
+    /// state without another copy. A [`MovingObject`] is non-empty and
+    /// finite by construction, so only a duplicate id can fail.
+    pub(crate) fn insert_object(&mut self, object: MovingObject) -> Result<(), WireError> {
+        let id = object.id();
+        self.check_absent(id)?;
+        let handle = self.state.insert_object(object);
+        self.objects.insert(id, handle);
+        Ok(())
+    }
+
+    fn check_absent(&self, object: u64) -> Result<(), WireError> {
+        if self.objects.contains_key(object) {
+            return Err(WireError::new(
+                ErrorCode::DuplicateObject,
+                format!("object {object} is already live"),
+            ));
+        }
+        Ok(())
     }
 
     /// The influence threshold τ of the underlying dynamic state.
@@ -136,7 +160,9 @@ impl World {
 
     /// The live object ids, ascending.
     pub fn object_ids(&self) -> Vec<u64> {
-        self.objects.keys().copied().collect()
+        let mut ids: Vec<u64> = self.objects.keys().collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// The live candidate ids, ascending.
@@ -152,12 +178,7 @@ impl World {
     pub fn apply(&mut self, op: &UpdateOp) -> Result<(), WireError> {
         match op {
             UpdateOp::InsertObject { object, positions } => {
-                if self.objects.contains_key(object) {
-                    return Err(WireError::new(
-                        ErrorCode::DuplicateObject,
-                        format!("object {object} is already live"),
-                    ));
-                }
+                self.check_absent(*object)?;
                 if positions.is_empty() {
                     return Err(WireError::malformed(
                         "an object needs at least one position",
@@ -172,11 +193,7 @@ impl World {
                         ),
                     ));
                 }
-                let handle = self
-                    .state
-                    .insert_object(MovingObject::new(*object, positions.clone()));
-                self.objects.insert(*object, handle);
-                Ok(())
+                self.insert_object(MovingObject::new(*object, positions.clone()))
             }
             UpdateOp::AppendPosition { object, position } => {
                 if !position.is_finite() {
@@ -185,14 +202,14 @@ impl World {
                         format!("position for object {object} is not finite"),
                     ));
                 }
-                let handle = *self.objects.get(object).ok_or_else(|| {
+                let handle = self.objects.get(*object).ok_or_else(|| {
                     WireError::new(ErrorCode::UnknownObject, format!("no live object {object}"))
                 })?;
                 self.state.append_position(handle, *position);
                 Ok(())
             }
             UpdateOp::RemoveObject { object } => {
-                let handle = self.objects.remove(object).ok_or_else(|| {
+                let handle = self.objects.remove(*object).ok_or_else(|| {
                     WireError::new(ErrorCode::UnknownObject, format!("no live object {object}"))
                 })?;
                 self.state.remove_object(handle);
@@ -340,14 +357,6 @@ impl World {
         Ok(pinocchio_heatmap::try_top_region(
             &problem, k, resolution, frame,
         )?)
-    }
-
-    /// The influenceable-object bounds of the frozen state — the frame
-    /// a [`Self::heatmap`] call without an explicit frame rasterises.
-    /// `None` when no object is influenceable anywhere.
-    pub fn object_frame(&self) -> Result<Option<pinocchio_geo::Mbr>, WireError> {
-        let (problem, _) = self.to_problem()?;
-        Ok(problem.object_tree().bounds())
     }
 
     /// Freezes the world and solves it from scratch with the named

@@ -24,7 +24,8 @@
 //!   N in-process shard worlds (routed by a stable hash of the wire
 //!   object id), merged influence partials for queries, and the core
 //!   sharded solver for `solve` requests — shard-transparent on the
-//!   wire.
+//!   wire. Cloning it — the writer's per-epoch step — is structural
+//!   (one reference count per page of rows or ids, see [`ingest`]).
 //! * [`server`] — the thread topology: accept loop, per-connection
 //!   reader/writer pairs, the writer thread, the worker pool, and
 //!   graceful drain-on-shutdown with `resume_unwind` panic containment.
@@ -39,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod idmap;
 pub mod ingest;
 pub mod scheduler;
 pub mod server;
@@ -51,7 +53,7 @@ pub use ingest::{SolveOutcome, World};
 pub use pinocchio_core::MaintenanceMode;
 pub use scheduler::{AdmissionQueue, Job, SubmitError};
 pub use server::{serve, ServerConfig, ServerHandle};
-pub use shard::{InProcessShard, ShardSummary, ShardTransport, ShardedWorld};
+pub use shard::{ShardSummary, ShardedWorld};
 pub use stats::{ServeStats, LATENCY_BUCKETS, LATENCY_BUCKET_BOUNDS_US};
 pub use store::{Publisher, Reader, Snapshot};
 pub use wire::{

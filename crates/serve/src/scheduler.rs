@@ -78,8 +78,8 @@ pub enum BatchWait {
     /// Up to `max` jobs, FIFO order.
     Batch(Vec<Job>),
     /// No job arrived within the timeout; the queue is still open. The
-    /// worker loop uses this wake-up to advance its parked epoch cursor
-    /// (snapshot reclamation trails the oldest cursor).
+    /// worker loop uses this wake-up to advance its parked epoch cursor,
+    /// so the chain links behind it are freed.
     TimedOut,
     /// The queue is closed and fully drained.
     Closed,

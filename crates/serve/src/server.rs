@@ -14,6 +14,10 @@
 //!
 //! * **Readers never block on admission**: a full queue sheds the
 //!   request with a typed `overloaded` response.
+//! * **Maintained reads skip the queue**: `best`, `top_k`,
+//!   `influence_of` and `ping` are answered on the connection thread
+//!   from the newest snapshot; everything that freezes the world goes
+//!   to the workers.
 //! * **Workers batch**: each drained batch is answered against one
 //!   epoch snapshot; from-scratch solves are shared across the batch.
 //! * **The writer is unique**: updates apply in arrival order to a
@@ -224,7 +228,6 @@ pub fn serve(world: World, config: ServerConfig) -> std::io::Result<ServerHandle
     let accept = {
         let shared = Arc::clone(&shared);
         let ingest = ingest_tx.clone();
-        let reader = reader.clone();
         std::thread::spawn(move || accept_loop(&listener, &shared, &ingest, reader))
     };
 
@@ -251,11 +254,9 @@ fn accept_loop(
     }
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     while !shared.draining() {
-        // Keep this long-lived cursor at the chain head: the store
-        // reclaims snapshots only behind the oldest cursor, so a parked
-        // cursor would pin every epoch published for the server's
-        // lifetime. Advancing here also hands new connections a reader
-        // that starts at the newest epoch instead of epoch 0.
+        // Cursors pin no snapshot, only chain links (see `store`); keep
+        // this one at the head so new connections start at the newest
+        // epoch and the links behind it are freed.
         let _ = reader.latest();
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -294,15 +295,24 @@ fn connection_loop(
     };
     let _ = write_half.set_write_timeout(Some(shared.config.write_timeout));
 
-    // All responses for this connection funnel through one writer
-    // thread, so pipelined requests cannot interleave partial lines.
+    // Responses from workers and the writer funnel through one writer
+    // thread per connection; maintained reads answered here are written
+    // directly. Both write whole lines under `out`, so pipelined
+    // requests cannot interleave partial lines.
+    let out = Arc::new(Mutex::new(write_half));
     let (reply_tx, reply_rx) = channel::<String>();
-    let response_writer = std::thread::spawn(move || write_loop(write_half, &reply_rx));
+    let response_writer = {
+        let out = Arc::clone(&out);
+        std::thread::spawn(move || write_loop(&out, &reply_rx))
+    };
 
     let mut buf_reader = BufReader::new(stream);
     let mut line: Vec<u8> = Vec::new();
     let mut last_activity = Instant::now();
     while !shared.draining() {
+        // Advance after every line and every poll wake-up, so this
+        // cursor keeps no chain links alive behind the head.
+        let _ = epoch_reader.latest();
         // `line` persists across timeouts: a poll wake-up mid-line keeps
         // the partial bytes — raw, so a timeout landing inside a
         // multi-byte UTF-8 character cannot discard them — and keeps
@@ -314,7 +324,14 @@ fn connection_loop(
                     Ok(text) => {
                         let trimmed = text.trim();
                         if !trimmed.is_empty() {
-                            handle_line(trimmed, shared, ingest, &mut epoch_reader, &reply_tx);
+                            handle_line(
+                                trimmed,
+                                shared,
+                                ingest,
+                                &mut epoch_reader,
+                                &reply_tx,
+                                &out,
+                            );
                         }
                     }
                     Err(_) => {
@@ -345,9 +362,6 @@ fn connection_loop(
                 break;
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Advance this connection's cursor while idle so it never
-                // pins old epochs (reclamation trails the oldest cursor).
-                let _ = epoch_reader.latest();
                 if last_activity.elapsed() >= shared.config.idle_timeout {
                     break;
                 }
@@ -415,16 +429,28 @@ fn read_bounded_line(
     }
 }
 
-fn write_loop(mut stream: TcpStream, replies: &Receiver<String>) {
+fn write_loop(out: &Mutex<TcpStream>, replies: &Receiver<String>) {
     while let Ok(response) = replies.recv() {
-        if stream
-            .write_all(response.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .is_err()
-        {
+        if write_line(out, response).is_err() {
             break;
         }
     }
+    close_output(out);
+}
+
+/// Writes one response line, newline included, in a single write under
+/// the connection's output lock: one segment on the wire (the socket
+/// is `nodelay`), so the client wakes once per line, not twice.
+fn write_line(out: &Mutex<TcpStream>, mut response: String) -> std::io::Result<()> {
+    response.push('\n');
+    let mut stream = out.lock().unwrap_or_else(|p| p.into_inner());
+    stream.write_all(response.as_bytes())
+}
+
+/// Shuts the socket down, e.g. after a failed write may have left a
+/// partial line that no later line may follow.
+fn close_output(out: &Mutex<TcpStream>) {
+    let stream = out.lock().unwrap_or_else(|p| p.into_inner());
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
@@ -434,6 +460,7 @@ fn handle_line(
     ingest: &SyncSender<UpdateMsg>,
     epoch_reader: &mut Reader<ShardedWorld>,
     reply: &Sender<String>,
+    out: &Mutex<TcpStream>,
 ) {
     shared.bump(|s| s.lines_received += 1);
     let request = match wire::parse_request(line) {
@@ -492,6 +519,27 @@ fn handle_line(
                 enqueued: Instant::now(),
                 reply: reply.clone(),
             };
+            if answered_inline(&job.op) {
+                let snapshot = epoch_reader.latest();
+                let mut local = ServeStats::default();
+                let response = answer(
+                    &job,
+                    &snapshot,
+                    epoch_reader,
+                    &mut Vec::new(),
+                    &mut local,
+                    shared,
+                );
+                let micros = u64::try_from(job.enqueued.elapsed().as_micros()).unwrap_or(u64::MAX);
+                local.record_latency(micros);
+                // Counted before the reply leaves, so a `stats` sent
+                // after it always includes it.
+                shared.bump(|s| *s += local);
+                if write_line(out, response).is_err() {
+                    close_output(out);
+                }
+                return;
+            }
             match shared.queue.try_submit(job) {
                 Ok(()) => {}
                 Err(e @ SubmitError::Overloaded { .. }) => {
@@ -502,6 +550,19 @@ fn handle_line(
             }
         }
     }
+}
+
+/// Whether a query is answered on its connection thread instead of by
+/// the worker pool: the maintained reads, which cost O(candidates) on
+/// the newest snapshot — less than the hand-off through the admission
+/// queue to a parked worker would add to their round trip. They need
+/// no batching (nothing to share) and no admission control (the
+/// connection's own thread pays for them).
+fn answered_inline(op: &QueryOp) -> bool {
+    matches!(
+        op,
+        QueryOp::Best | QueryOp::TopK { .. } | QueryOp::InfluenceOf { .. } | QueryOp::Ping
+    )
 }
 
 fn reject_draining(shared: &Arc<Shared>, reply: &Sender<String>, id: Option<u64>) {
@@ -579,9 +640,8 @@ fn worker_loop(shared: &Arc<Shared>, mut reader: Reader<ShardedWorld>) {
         {
             BatchWait::Batch(batch) => batch,
             BatchWait::TimedOut => {
-                // A worker parked between batches would otherwise pin
-                // every epoch published since its last one; keep its
-                // cursor at the head while the queue is quiet.
+                // A parked cursor pins no snapshot, only chain links;
+                // keep those few at the head while the queue is quiet.
                 let _ = reader.latest();
                 continue;
             }
@@ -597,7 +657,14 @@ fn worker_loop(shared: &Arc<Shared>, mut reader: Reader<ShardedWorld>) {
         };
         let mut solve_memo: Vec<(Algorithm, Result<SolveOutcome, WireError>)> = Vec::new();
         for job in batch {
-            let response = answer(&job, &snapshot, &mut solve_memo, &mut local, shared);
+            let response = answer(
+                &job,
+                &snapshot,
+                &reader,
+                &mut solve_memo,
+                &mut local,
+                shared,
+            );
             let micros = u64::try_from(job.enqueued.elapsed().as_micros()).unwrap_or(u64::MAX);
             local.record_latency(micros);
             let _ = job.reply.send(response);
@@ -609,6 +676,7 @@ fn worker_loop(shared: &Arc<Shared>, mut reader: Reader<ShardedWorld>) {
 fn answer(
     job: &Job,
     snapshot: &Snapshot<ShardedWorld>,
+    reader: &Reader<ShardedWorld>,
     solve_memo: &mut Vec<(Algorithm, Result<SolveOutcome, WireError>)>,
     local: &mut ServeStats,
     shared: &Arc<Shared>,
@@ -773,6 +841,10 @@ fn answer(
             let mut body = Map::new();
             body.insert("stats".to_string(), view.to_json());
             body.insert("queue_depth".to_string(), json!(shared.queue.depth()));
+            // A gauge, outside the counter block and its identity: the
+            // snapshots still allocated (the newest plus those queries
+            // still hold).
+            body.insert("epochs_live".to_string(), json!(reader.epochs_live()));
             // Per-shard counters of the answering epoch: topology is
             // wire-transparent everywhere else, but operators need to
             // see the partition balance and routing volume.

@@ -82,9 +82,10 @@ pub struct ServeStats {
     /// High-water mark of the admission queue depth (merge takes the
     /// max, not the sum — it is a level, not a flow).
     pub queue_high_water: u64,
-    /// Queue-to-response latency histogram; bucket `i` counts completed
-    /// queries with latency `<= LATENCY_BUCKET_BOUNDS_US[i]` (last
-    /// bucket: everything slower).
+    /// Admission-to-response latency histogram (for the maintained
+    /// reads a connection answers itself, parse-to-response); bucket `i`
+    /// counts completed queries with latency
+    /// `<= LATENCY_BUCKET_BOUNDS_US[i]` (last bucket: everything slower).
     pub latency_us: [u64; LATENCY_BUCKETS],
 }
 

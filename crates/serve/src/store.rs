@@ -1,10 +1,11 @@
 //! Epoch-snapshot state store: single writer, lock-free readers.
 //!
-//! The store is a publication chain of immutable snapshots. Each
-//! [`Node`] owns one `Arc<Snapshot>` and a [`OnceLock`] link to its
-//! successor. The single [`Publisher`] appends by setting the tail's
-//! link; every [`Reader`] holds a cursor into the chain and advances it
-//! by chasing links.
+//! The store is a publication chain of epochs. Each [`Node`] names one
+//! epoch's snapshot through a [`Weak`] reference and links to its
+//! successor through a [`OnceLock`]. The single [`Publisher`] owns the
+//! newest snapshot and appends by setting the tail's link; every
+//! [`Reader`] holds a cursor into the chain and advances it by chasing
+//! links.
 //!
 //! ## Happens-before
 //!
@@ -15,14 +16,22 @@
 //! always sees a fully constructed snapshot for whichever epoch its
 //! cursor reaches, and never a torn or in-progress one. The query path
 //! takes no lock anywhere: `Reader::latest` is a bounded walk of
-//! already-published `Arc`s (the full argument is in DESIGN.md §12).
+//! already-published links (the full argument is in DESIGN.md §12).
 //!
-//! Dropped prefixes of the chain are reclaimed automatically: once every
-//! reader has advanced past a node and the publisher no longer
-//! references it, its `Arc` count reaches zero. Readers pin at most the
-//! suffix from the oldest cursor onward.
+//! ## Reclamation
+//!
+//! A snapshot lives exactly as long as something holds it strongly: the
+//! publisher (the newest epoch only) and the queries answering on it.
+//! Cursors hold chain links, which name their snapshots only weakly, so
+//! a reader parked at an old epoch keeps a few words per later epoch
+//! alive, never a world. [`Reader::epochs_live`] counts the snapshots
+//! still allocated. The publisher replaces its snapshot only after
+//! linking the successor, so a reader whose upgrade fails finds the next
+//! link and walks on; when the publisher is dropped, its last snapshot
+//! is parked in the tail node for readers that still look.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// One immutable published state, tagged with its epoch.
 ///
@@ -34,20 +43,56 @@ pub struct Snapshot<T> {
     pub epoch: u64,
     /// The state frozen at this epoch.
     pub state: T,
+    /// Counts this snapshot in its store's live gauge while allocated.
+    _live: LiveToken,
+}
+
+/// One unit of a store's live-snapshot gauge, returned on drop.
+#[derive(Debug)]
+struct LiveToken(Arc<AtomicUsize>);
+
+impl LiveToken {
+    fn new(gauge: &Arc<AtomicUsize>) -> LiveToken {
+        // pinocchio-lint: allow(atomic-ordering) -- an operator gauge; no data is published through it, so no ordering is needed
+        gauge.fetch_add(1, Ordering::Relaxed);
+        LiveToken(Arc::clone(gauge))
+    }
+}
+
+impl Drop for LiveToken {
+    fn drop(&mut self) {
+        // pinocchio-lint: allow(atomic-ordering) -- an operator gauge; no data is published through it, so no ordering is needed
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// A link of the publication chain.
 #[derive(Debug)]
 struct Node<T> {
-    snapshot: Arc<Snapshot<T>>,
+    snapshot: Weak<Snapshot<T>>,
     next: OnceLock<Arc<Node<T>>>,
+    /// Set once, on the tail, when the publisher is dropped: its last
+    /// snapshot, kept for readers that still look.
+    last: OnceLock<Arc<Snapshot<T>>>,
+}
+
+impl<T> Node<T> {
+    fn new(snapshot: &Arc<Snapshot<T>>) -> Arc<Node<T>> {
+        Arc::new(Node {
+            snapshot: Arc::downgrade(snapshot),
+            next: OnceLock::new(),
+            last: OnceLock::new(),
+        })
+    }
 }
 
 /// The writing half: owned by exactly one thread (not `Clone`), appends
-/// snapshots to the chain.
+/// snapshots to the chain and owns the newest one.
 #[derive(Debug)]
 pub struct Publisher<T> {
     tail: Arc<Node<T>>,
+    current: Arc<Snapshot<T>>,
+    gauge: Arc<AtomicUsize>,
 }
 
 /// The reading half: a cheap-to-clone cursor into the chain. `latest`
@@ -56,24 +101,30 @@ pub struct Publisher<T> {
 #[derive(Debug, Clone)]
 pub struct Reader<T> {
     cursor: Arc<Node<T>>,
+    gauge: Arc<AtomicUsize>,
 }
 
 impl<T> Publisher<T> {
     /// Creates a store holding `initial` as epoch 0, returning the
     /// unique publisher and a reader positioned at epoch 0.
     pub fn new(initial: T) -> (Publisher<T>, Reader<T>) {
-        let node = Arc::new(Node {
-            snapshot: Arc::new(Snapshot {
-                epoch: 0,
-                state: initial,
-            }),
-            next: OnceLock::new(),
+        let gauge = Arc::new(AtomicUsize::new(0));
+        let current = Arc::new(Snapshot {
+            epoch: 0,
+            state: initial,
+            _live: LiveToken::new(&gauge),
         });
+        let node = Node::new(&current);
         (
             Publisher {
                 tail: Arc::clone(&node),
+                current,
+                gauge: Arc::clone(&gauge),
             },
-            Reader { cursor: node },
+            Reader {
+                cursor: node,
+                gauge,
+            },
         )
     }
 
@@ -81,30 +132,42 @@ impl<T> Publisher<T> {
     ///
     /// This is the linearisation point of an update batch: after
     /// `publish` returns, every reader that calls `latest` observes this
-    /// epoch (or a later one), fully constructed.
+    /// epoch (or a later one), fully constructed. The previous epoch is
+    /// freed here unless a query still holds it.
     pub fn publish(&mut self, state: T) -> u64 {
-        let epoch = self.tail.snapshot.epoch + 1;
-        let node = Arc::new(Node {
-            snapshot: Arc::new(Snapshot { epoch, state }),
-            next: OnceLock::new(),
+        let epoch = self.current.epoch + 1;
+        let snapshot = Arc::new(Snapshot {
+            epoch,
+            state,
+            _live: LiveToken::new(&self.gauge),
         });
+        let node = Node::new(&snapshot);
         // `set` can only fail if the link was already taken, which would
         // require a second publisher — impossible: `Publisher` is not
         // `Clone` and `publish` takes `&mut self`.
         let published = self.tail.next.set(Arc::clone(&node)).is_ok();
         debug_assert!(published, "single-writer invariant violated");
         self.tail = node;
+        // Only now, with the successor linked, let the old epoch go.
+        self.current = snapshot;
         epoch
     }
 
     /// The most recently published epoch.
     pub fn epoch(&self) -> u64 {
-        self.tail.snapshot.epoch
+        self.current.epoch
     }
 
     /// A snapshot of the most recently published state.
     pub fn current(&self) -> Arc<Snapshot<T>> {
-        Arc::clone(&self.tail.snapshot)
+        Arc::clone(&self.current)
+    }
+}
+
+impl<T> Drop for Publisher<T> {
+    fn drop(&mut self) {
+        // The tail has no successor, so this is its only `set`.
+        let _ = self.tail.last.set(Arc::clone(&self.current));
     }
 }
 
@@ -112,17 +175,30 @@ impl<T> Reader<T> {
     /// Advances to, and returns, the newest published snapshot.
     ///
     /// Lock-free: a finite chase of `OnceLock::get` loads — at most one
-    /// hop per epoch published since this reader last looked.
+    /// hop per epoch published since this reader last looked. A failed
+    /// upgrade means the publisher moved on after linking a successor,
+    /// so the walk resumes; it cannot fail at the final tail, whose
+    /// snapshot the publisher (or, once it is gone, the tail) owns.
     pub fn latest(&mut self) -> Arc<Snapshot<T>> {
-        while let Some(next) = self.cursor.next.get() {
-            self.cursor = Arc::clone(next);
+        loop {
+            while let Some(next) = self.cursor.next.get() {
+                self.cursor = Arc::clone(next);
+            }
+            if let Some(snapshot) = self.cursor.snapshot.upgrade() {
+                return snapshot;
+            }
+            if let Some(last) = self.cursor.last.get() {
+                return Arc::clone(last);
+            }
+            std::hint::spin_loop();
         }
-        Arc::clone(&self.cursor.snapshot)
     }
 
-    /// The snapshot at the reader's current cursor, without advancing.
-    pub fn current(&self) -> Arc<Snapshot<T>> {
-        Arc::clone(&self.cursor.snapshot)
+    /// Snapshots of this store still allocated: the publisher's newest
+    /// one plus every older one a query still holds.
+    pub fn epochs_live(&self) -> usize {
+        // pinocchio-lint: allow(atomic-ordering) -- an operator gauge; no data is published through it, so no ordering is needed
+        self.gauge.load(Ordering::Relaxed)
     }
 }
 
@@ -142,11 +218,12 @@ mod tests {
         let snap = reader.latest();
         assert_eq!(snap.epoch, 2);
         assert_eq!(snap.state, "two");
-        // A stale clone still sees its own epoch until it looks again.
+        // A held snapshot keeps its epoch; a stale cursor catches up.
         let stale = reader.clone();
         assert_eq!(publisher.publish("three"), 3);
-        assert_eq!(stale.current().epoch, 2);
+        assert_eq!(snap.epoch, 2);
         assert_eq!(stale.clone().latest().epoch, 3);
+        assert_eq!(publisher.current().state, "three");
     }
 
     #[test]
@@ -186,18 +263,35 @@ mod tests {
     }
 
     #[test]
-    fn old_nodes_are_reclaimed_once_readers_advance() {
+    fn parked_cursors_pin_no_snapshot() {
         let (mut publisher, mut reader) = Publisher::new(Arc::new(0u64));
         let first = reader.latest();
         let probe = Arc::downgrade(&first.state);
-        drop(first);
+        assert_eq!(reader.epochs_live(), 1);
         publisher.publish(Arc::new(1));
         publisher.publish(Arc::new(2));
-        assert!(probe.upgrade().is_some(), "reader still pins epoch 0");
-        reader.latest();
+        // The held snapshot survives; epoch 1, held by nobody, is gone
+        // although the reader's cursor still sits at epoch 0.
+        assert!(probe.upgrade().is_some(), "a query still holds epoch 0");
+        assert_eq!(reader.epochs_live(), 2);
+        drop(first);
         assert!(
             probe.upgrade().is_none(),
-            "epoch 0 must be freed once nothing references it"
+            "epoch 0 must be freed once no query holds it"
         );
+        assert_eq!(reader.epochs_live(), 1);
+        assert_eq!(reader.latest().epoch, 2);
+    }
+
+    #[test]
+    fn readers_still_see_the_last_epoch_after_the_publisher_is_gone() {
+        let (mut publisher, mut reader) = Publisher::new(0u64);
+        let mut parked = reader.clone();
+        publisher.publish(1);
+        assert_eq!(reader.latest().state, 1);
+        drop(publisher);
+        assert_eq!(reader.latest().state, 1);
+        assert_eq!(parked.latest().epoch, 1);
+        assert_eq!(parked.epochs_live(), 1);
     }
 }
