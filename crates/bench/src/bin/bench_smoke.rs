@@ -1,5 +1,6 @@
 //! Bench smoke — a small release-mode benchmark of the validation hot
-//! path, comparing the scalar kernel, the arena/block kernel, and the
+//! path, comparing the scalar kernel, the arena-backed log-domain
+//! blocked kernel (`EvalKernel::LogBlocked`), and the
 //! PIN-JOIN object-side μ-aggregate join on the Fig. 8 / Fig. 9 default
 //! workloads.
 //!
@@ -7,20 +8,20 @@
 //! carries its own evidence) with one row per (dataset, solver):
 //!
 //! * `naive`       — NA under the scalar kernel,
-//! * `arena_naive` — NA over the position arena with the block-bounded
+//! * `arena_naive` — NA over the position arena with the log-blocked
 //!   kernel (the full-scan validation workload, where block bounds pay
-//!   the most — the PR-3 headline scalar-vs-arena comparison),
+//!   the most),
 //! * `vo_seq`   — sequential PINOCCHIO-VO, scalar kernel,
 //! * `vo_par`   — parallel PINOCCHIO-VO (4 workers), scalar kernel,
 //! * `arena_vo` — sequential PINOCCHIO-VO over the position arena with
-//!   the block-bounded kernel,
-//! * `arena_vo_par` — the parallel driver on the block kernel,
+//!   the log-blocked kernel,
+//! * `arena_vo_par` — the parallel driver on the log-blocked kernel,
 //! * `join_seq`   — sequential PIN-JOIN (μ-aggregate tree), scalar
 //!   kernel,
 //! * `join_par`   — parallel PIN-JOIN filter phase (4 workers), scalar
 //!   kernel,
-//! * `arena_join` / `arena_join_par` — the same two over the block
-//!   kernel.
+//! * `arena_join` / `arena_join_par` — the same two over the
+//!   log-blocked kernel.
 //!
 //! Besides timing, the run is a correctness gate: it aborts if any
 //! solver row disagrees with `naive` on `(best_candidate,
@@ -114,7 +115,7 @@ fn main() {
             d.objects().len()
         );
         let scalar = build(&d, EvalKernel::Scalar);
-        let blocked = build(&d, EvalKernel::Blocked);
+        let log = build(&d, EvalKernel::LogBlocked);
 
         let solve = |p: &PrimeLs<PowerLawPf>, a: Algorithm| {
             let r = p.solve(a);
@@ -152,7 +153,7 @@ fn main() {
         rowc(
             &mut rows,
             "arena_naive",
-            best_of(|| solve(&blocked, Algorithm::Naive)),
+            best_of(|| solve(&log, Algorithm::Naive)),
         );
         rowc(
             &mut rows,
@@ -167,12 +168,12 @@ fn main() {
         rowc(
             &mut rows,
             "arena_vo",
-            best_of(|| solve(&blocked, Algorithm::PinocchioVo)),
+            best_of(|| solve(&log, Algorithm::PinocchioVo)),
         );
         rowc(
             &mut rows,
             "arena_vo_par",
-            best_of(|| from_result(parallel::solve_vo(&blocked, PAR_THREADS))),
+            best_of(|| from_result(parallel::solve_vo(&log, PAR_THREADS))),
         );
         for (solver, stats) in [
             (
@@ -196,7 +197,7 @@ fn main() {
                 rowc(
                     &mut rows,
                     "arena_join",
-                    best_of(|| solve(&blocked, Algorithm::PinocchioJoin)),
+                    best_of(|| solve(&log, Algorithm::PinocchioJoin)),
                 ),
             ),
             (
@@ -204,7 +205,7 @@ fn main() {
                 rowc(
                     &mut rows,
                     "arena_join_par",
-                    best_of(|| from_result(join::solve_par(&blocked, PAR_THREADS))),
+                    best_of(|| from_result(join::solve_par(&log, PAR_THREADS))),
                 ),
             ),
         ] {

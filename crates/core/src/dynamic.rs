@@ -72,36 +72,24 @@
 //! rebuilding from scratch (asserted extensively by the tests and the
 //! serving layer's property suite).
 
-use crate::eval::EvalKernel;
 use crate::result::Algorithm;
 use pinocchio_data::{CowVec, MovingObject, PositionLog};
 use pinocchio_geo::{InfluenceRegions, Mbr, Point, RegionVerdict};
 use pinocchio_index::{MbrTree, RTree};
-use pinocchio_prob::{min_max_radius, CumulativeProbability, LogPfTable, ProbabilityFunction};
+use pinocchio_prob::{min_max_radius, CumulativeProbability, ProbabilityFunction};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// One influence verdict over a shared position log: the log-domain
-/// chunked kernel when a table is supplied (guard-banded, with any
-/// in-band sum re-resolved by the exact scalar rule over fresh chunks),
-/// the scalar early-stop chunked scan otherwise. Verdicts are identical
-/// either way — the log path only ever answers when the band proves the
-/// scalar comparison would agree.
+/// One influence verdict over a shared position log: the scalar
+/// early-stop scan (Lemma 4) over the log's chunks.
 // pinocchio-hot: per-pair verdict of every dynamic update path
 fn influenced_chunked<P: ProbabilityFunction>(
     eval: &CumulativeProbability<P, pinocchio_geo::Euclidean>,
-    table: Option<&LogPfTable>,
     candidate: &Point,
     log: &PositionLog,
     tau: f64,
 ) -> bool {
-    if let Some(table) = table {
-        if let Some(outcome) = eval.try_influences_log_chunked(candidate, log.chunks(), tau, table)
-        {
-            return outcome.influenced;
-        }
-    }
     eval.influences_early_stop_chunked(candidate, log.chunks(), tau)
         .influenced
 }
@@ -197,14 +185,6 @@ pub struct DynamicPrimeLs<P> {
     pf: P,
     tau: f64,
     mode: MaintenanceMode,
-    /// Requested evaluation kernel. Updates validate through the
-    /// log-domain chunked path exactly when `log_table` is `Some`.
-    kernel: EvalKernel,
-    /// Present iff `kernel == LogBlocked` and the PF's log table
-    /// converged; the Blocked kernel has no chunked form, so both it
-    /// and table-less LogBlocked fall back to the scalar chunked scan.
-    /// Immutable once built, so clones share it.
-    log_table: Option<Arc<LogPfTable>>,
     /// Object rows by slot (slots are never reused; a removed object
     /// leaves `None`).
     objects: ObjectRows,
@@ -275,8 +255,6 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             pf,
             tau,
             mode: MaintenanceMode::Delta,
-            kernel: EvalKernel::default(),
-            log_table: None,
             objects: CowVec::new(),
             candidates: Vec::new(),
             influences: Vec::new(),
@@ -348,31 +326,6 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     /// The active maintenance mode.
     pub fn maintenance_mode(&self) -> MaintenanceMode {
         self.mode
-    }
-
-    /// The requested evaluation kernel (see
-    /// [`Self::set_evaluation_kernel`]).
-    pub fn evaluation_kernel(&self) -> EvalKernel {
-        self.kernel
-    }
-
-    /// Switches the evaluation kernel used by subsequent updates. Safe
-    /// at any point: verdicts are kernel-independent, so the maintained
-    /// state never diverges across a switch.
-    ///
-    /// [`EvalKernel::LogBlocked`] validates undecided pairs through the
-    /// guard-banded log-domain chunked kernel (in-band sums re-resolved
-    /// exactly); it builds and caches the PF's [`LogPfTable`] here,
-    /// once. [`EvalKernel::Blocked`] has no chunked form — the dynamic
-    /// rows live in shared position logs, not the arena — so it (and a
-    /// LogBlocked request whose PF defeats the table) behaves like
-    /// [`EvalKernel::Scalar`].
-    pub fn set_evaluation_kernel(&mut self, kernel: EvalKernel) {
-        self.kernel = kernel;
-        self.log_table = match kernel {
-            EvalKernel::LogBlocked => LogPfTable::try_new(&self.pf).map(Arc::new),
-            _ => None,
-        };
     }
 
     /// Switches the maintenance mode. Safe at any point: both modes
@@ -450,7 +403,6 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             .candidates(live.iter().map(|&(_, p, _)| p).collect())
             .probability_function(self.pf.clone())
             .tau(self.tau)
-            .evaluation_kernel(self.kernel)
             .build()?;
         Ok((problem, live.into_iter().map(|(h, _, _)| h).collect()))
     }
@@ -715,7 +667,6 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     /// are kept without re-validation (the monotone append rule).
     fn classify_candidates_into(&self, row: &mut ObjectRow, skip_influenced: Option<&[u64]>) {
         let eval = self.evaluator();
-        let table = self.log_table.as_deref();
         let words = self.mask_words();
         row.influenced_by.resize(words, 0);
         for (j, cand) in self.candidates.iter().enumerate() {
@@ -731,9 +682,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
                 Some(regions) => match regions.classify(c) {
                     RegionVerdict::Influences => true,
                     RegionVerdict::CannotInfluence => false,
-                    RegionVerdict::Undecided => {
-                        influenced_chunked(&eval, table, c, &row.log, self.tau)
-                    }
+                    RegionVerdict::Undecided => influenced_chunked(&eval, c, &row.log, self.tau),
                 },
             };
             if influenced {
@@ -770,7 +719,6 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             return;
         };
         let eval = self.evaluator();
-        let table = self.log_table.as_deref();
         let tau = self.tau;
         let obj_mbr = regions.mbr();
         let nib_mbr = regions.nib_mbr();
@@ -794,8 +742,8 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
                 // Inside the NIB by the query predicate; the remaining
                 // split is Theorem 1 (influence arcs) vs exact
                 // validation — identical to `InfluenceRegions::classify`.
-                let influenced = obj_mbr.max_dist_sq(c) <= mu_sq
-                    || influenced_chunked(&eval, table, c, log, tau);
+                let influenced =
+                    obj_mbr.max_dist_sq(c) <= mu_sq || influenced_chunked(&eval, c, log, tau);
                 if influenced {
                     Self::set_bit(mask, j);
                 }
@@ -844,7 +792,6 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     /// only when its bit changes).
     fn validate_candidate_full(&mut self, j: usize, location: &Point) -> u32 {
         let eval = self.evaluator();
-        let table = self.log_table.as_deref();
         let tau = self.tau;
         let mut influence = 0u32;
         for s in 0..self.objects.len() {
@@ -856,9 +803,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
                 Some(regions) => match regions.classify(location) {
                     RegionVerdict::Influences => true,
                     RegionVerdict::CannotInfluence => false,
-                    RegionVerdict::Undecided => {
-                        influenced_chunked(&eval, table, location, &row.log, tau)
-                    }
+                    RegionVerdict::Undecided => influenced_chunked(&eval, location, &row.log, tau),
                 },
             };
             if influenced != Self::bit(&row.influenced_by, j) {
@@ -895,7 +840,6 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             |&s| undecided_slots.push(s),
         );
         let eval = self.evaluator();
-        let table = self.log_table.as_deref();
         let tau = self.tau;
         let mut influence = 0u32;
         // A dirty row's build-time verdict is stale (re-done below); a
@@ -916,7 +860,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             let Some(row) = clean(&self.objects[s]) else {
                 continue;
             };
-            if influenced_chunked(&eval, table, location, &row.log, tau) {
+            if influenced_chunked(&eval, location, &row.log, tau) {
                 if let Some(row) = row_mut(&mut self.objects, s) {
                     Self::set_bit(&mut row.influenced_by, j);
                     influence += 1;
@@ -942,9 +886,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
                 Some(regions) => match regions.classify(location) {
                     RegionVerdict::Influences => true,
                     RegionVerdict::CannotInfluence => false,
-                    RegionVerdict::Undecided => {
-                        influenced_chunked(&eval, table, location, &row.log, tau)
-                    }
+                    RegionVerdict::Undecided => influenced_chunked(&eval, location, &row.log, tau),
                 },
             };
             if influenced {
@@ -1414,76 +1356,6 @@ mod tests {
             d.verify_against_static();
             assert!(d.candidate_count() >= 18, "round {round}");
         }
-    }
-
-    #[test]
-    fn log_blocked_kernel_agrees_through_update_stream() {
-        // The log-domain chunked verdict (with its guard-band fallback)
-        // must reproduce the scalar verdicts across all five update
-        // kinds, including a mid-stream kernel switch in both
-        // directions. `verify_against_static` additionally freezes the
-        // LogBlocked instance into a static problem that solves under
-        // the same kernel.
-        let mut rng = StdRng::seed_from_u64(57);
-        let mut log = fresh(0.7);
-        let mut scalar = fresh(0.7);
-        log.set_evaluation_kernel(EvalKernel::LogBlocked);
-        assert_eq!(log.evaluation_kernel(), EvalKernel::LogBlocked);
-        assert_eq!(scalar.evaluation_kernel(), EvalKernel::Scalar);
-
-        let mut objs: Vec<ObjectHandle> = Vec::new();
-        let mut cands: Vec<CandidateHandle> = Vec::new();
-        let mut next_id = 0u64;
-        for step in 0..200 {
-            match rng.gen_range(0..10) {
-                0..=2 if !objs.is_empty() => {
-                    let h = objs[rng.gen_range(0..objs.len())];
-                    let p = Point::new(rng.gen_range(0.0..30.0), rng.gen_range(0.0..20.0));
-                    log.append_position(h, p);
-                    scalar.append_position(h, p);
-                }
-                3..=4 => {
-                    let o = rng_object(&mut rng, next_id);
-                    next_id += 1;
-                    let h = log.insert_object(o.clone());
-                    assert_eq!(scalar.insert_object(o), h);
-                    objs.push(h);
-                }
-                5 if !objs.is_empty() => {
-                    let h = objs.swap_remove(rng.gen_range(0..objs.len()));
-                    assert_eq!(log.remove_object(h), scalar.remove_object(h));
-                }
-                6..=8 => {
-                    let p = Point::new(rng.gen_range(0.0..30.0), rng.gen_range(0.0..20.0));
-                    let h = log.insert_candidate(p);
-                    assert_eq!(scalar.insert_candidate(p), h);
-                    cands.push(h);
-                }
-                _ if !cands.is_empty() => {
-                    let h = cands.swap_remove(rng.gen_range(0..cands.len()));
-                    assert_eq!(log.remove_candidate(h), scalar.remove_candidate(h));
-                }
-                _ => {}
-            }
-            assert_eq!(log.best(), scalar.best(), "step {step}");
-            assert_eq!(
-                log.live_candidates(),
-                scalar.live_candidates(),
-                "step {step}"
-            );
-            if step == 100 {
-                // Kernel switches are safe mid-stream: the verdict
-                // contract is kernel-independent.
-                log.set_evaluation_kernel(EvalKernel::Scalar);
-                scalar.set_evaluation_kernel(EvalKernel::LogBlocked);
-            }
-            if step % 40 == 0 {
-                log.verify_against_static();
-                scalar.verify_against_static();
-            }
-        }
-        log.verify_against_static();
-        scalar.verify_against_static();
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! * account for work identically (the stats-parity tests compare
 //!   [`SolveStats`] across solvers and thread counts), and
-//! * can be switched between the scalar evaluation path and the
-//!   block-bounded structure-of-arrays kernel
-//!   ([`CumulativeProbability::influences_blocked`]) with one
+//! * can be switched between the scalar evaluation path (the default
+//!   and the test oracle) and the log-domain blocked kernel
+//!   ([`CumulativeProbability::influences_log_blocked`]) with one
 //!   [`EvalKernel`] knob on the problem instance — the verdicts are
 //!   identical by construction, so every solver stays bit-identical
 //!   under either kernel.
@@ -21,8 +21,8 @@ use crate::result::SolveStats;
 use pinocchio_data::{MovingObject, PositionArena, BLOCK_SIZE};
 use pinocchio_geo::{Euclidean, Point};
 use pinocchio_prob::{
-    BlockScratch, CumulativeProbability, EarlyStopOutcome, LogPfTable, LogScratch,
-    ProbabilityFunction, SoaBlocks, TileCutoffs,
+    CumulativeProbability, EarlyStopOutcome, LogPfTable, LogScratch, ProbabilityFunction,
+    SoaBlocks, TileCutoffs,
 };
 
 /// Candidate-tile width under [`EvalKernel::LogBlocked`]: solvers that
@@ -44,28 +44,23 @@ pub enum EvalKernel {
     /// and stats — exactly.
     #[default]
     Scalar,
-    /// The block-bounded structure-of-arrays kernel: per-block
-    /// `minDist`/`maxDist` bounds decide most objects from a handful of
-    /// distances; only straddling blocks are refined. Verdicts are
-    /// identical to [`EvalKernel::Scalar`]; `positions_evaluated`
-    /// shrinks and the `blocks_pruned` / `positions_skipped_by_blocks`
-    /// counters light up. The kernel subsumes the scalar early-stop
-    /// flag (its bounding pass exits early in both directions), so the
-    /// solver's `early_stop` request is ignored under this kernel.
-    Blocked,
     /// The log-domain kernel: `Σ ln(1 − PF(d))` accumulated against
     /// `ln(1 − τ)` through a branch-free squared-distance coefficient
     /// table ([`LogPfTable`]), with block bounds hoisted into the same
     /// accumulator and a guard band whose in-band pairs fall back to
     /// the exact product-space refinement. Verdicts are identical to
     /// [`EvalKernel::Scalar`] (table error is covered by the band; the
-    /// band is resolved exactly); `log_band_fallbacks` counts how often
-    /// the fallback fired. Solvers that support candidate tiling batch
-    /// [`LOG_TILE_WIDTH`] candidates per object under this kernel.
+    /// band is resolved exactly); `positions_evaluated` shrinks, the
+    /// `blocks_pruned` / `positions_skipped_by_blocks` counters light
+    /// up, and `log_band_fallbacks` counts how often the fallback
+    /// fired. The bounding passes exit early in both directions, so the
+    /// solver's `early_stop` request is ignored under this kernel.
+    /// Solvers that support candidate tiling batch [`LOG_TILE_WIDTH`]
+    /// candidates per object under this kernel.
     ///
     /// Requires a PF whose log table converged
     /// ([`LogPfTable::try_new`]); problems whose PF defeats the table
-    /// (e.g. `PF(0) = 1`) transparently run [`EvalKernel::Blocked`]
+    /// (e.g. `PF(0) = 1`) transparently run [`EvalKernel::Scalar`]
     /// instead.
     LogBlocked,
 }
@@ -82,21 +77,20 @@ pub struct PairEval<'a, P> {
     eval: CumulativeProbability<P, Euclidean>,
     objects: &'a [MovingObject],
     arena: &'a PositionArena,
-    kernel: EvalKernel,
     tau: f64,
-    // Reused across every pair this evaluator validates (the blocked
-    // kernel's per-block bound factors); owning it here is why
+    // Reused across every pair this evaluator validates (the log
+    // kernel's per-block bound sums); owning it here is why
     // `influences` takes `&mut self`.
-    scratch: BlockScratch,
     log_scratch: LogScratch,
     /// The problem's precomputed log-PF table — present exactly when
-    /// the resolved kernel is [`EvalKernel::LogBlocked`].
+    /// the active kernel is [`EvalKernel::LogBlocked`], so it doubles as
+    /// the kernel selector.
     log_table: Option<&'a LogPfTable>,
     /// Memoised arena view of the last object evaluated, together with
-    /// the object's tile cutoffs (zeroed when no log table is active):
-    /// object-major loops (every solver's validation loop, and the
-    /// candidate tiles) pay the arena slice lookup and the cutoff
-    /// inversion once per object, not once per pair.
+    /// the object's tile cutoffs: object-major loops (every solver's
+    /// validation loop, and the candidate tiles) pay the arena slice
+    /// lookup and the cutoff inversion once per object, not once per
+    /// pair.
     view: Option<(usize, SoaBlocks<'a>, TileCutoffs)>,
 }
 
@@ -105,26 +99,15 @@ impl<'a, P: ProbabilityFunction + Clone> PairEval<'a, P> {
         eval: CumulativeProbability<P, Euclidean>,
         objects: &'a [MovingObject],
         arena: &'a PositionArena,
-        kernel: EvalKernel,
         tau: f64,
         log_table: Option<&'a LogPfTable>,
     ) -> Self {
         debug_assert_eq!(arena.object_count(), objects.len());
-        // LogBlocked needs the table; when the PF defeated table
-        // construction, downgrade to the (always available) blocked
-        // kernel rather than carrying a panic path into the hot loop.
-        let (kernel, log_table) = match (kernel, log_table) {
-            (EvalKernel::LogBlocked, Some(table)) => (EvalKernel::LogBlocked, Some(table)),
-            (EvalKernel::LogBlocked, None) => (EvalKernel::Blocked, None),
-            (other, _) => (other, None),
-        };
         PairEval {
             eval,
             objects,
             arena,
-            kernel,
             tau,
-            scratch: BlockScratch::default(),
             log_scratch: LogScratch::default(),
             log_table,
             view: None,
@@ -136,29 +119,31 @@ impl<'a, P: ProbabilityFunction + Clone> PairEval<'a, P> {
         &self.eval
     }
 
-    /// The active evaluation kernel (after the LogBlocked → Blocked
+    /// The active evaluation kernel (after the LogBlocked → Scalar
     /// downgrade for PFs without a usable log table).
     pub fn kernel(&self) -> EvalKernel {
-        self.kernel
+        match self.log_table {
+            Some(_) => EvalKernel::LogBlocked,
+            None => EvalKernel::Scalar,
+        }
     }
 
     /// How many candidates the solver should batch per object under the
     /// active kernel: [`LOG_TILE_WIDTH`] for [`EvalKernel::LogBlocked`],
     /// 1 otherwise (a 1-wide tile reproduces untiled behaviour exactly).
     pub fn tile_width(&self) -> usize {
-        match self.kernel {
-            EvalKernel::LogBlocked => LOG_TILE_WIDTH,
-            _ => 1,
+        match self.log_table {
+            Some(_) => LOG_TILE_WIDTH,
+            None => 1,
         }
     }
 
     /// The arena block view of `object_index` plus its precomputed
     /// [`TileCutoffs`], memoised across calls so object-major loops
     /// resolve the arena slices and the cutoff inversion once per
-    /// object. The cutoffs are zeroed when no log table is active (the
-    /// scalar/blocked kernels never read them).
-    // pinocchio-hot: per-pair view lookup of every blocked validation
-    fn blocks(&mut self, object_index: usize) -> (SoaBlocks<'a>, TileCutoffs) {
+    /// object.
+    // pinocchio-hot: per-pair view lookup of every log-blocked validation
+    fn blocks(&mut self, object_index: usize, table: &LogPfTable) -> (SoaBlocks<'a>, TileCutoffs) {
         match self.view {
             Some((cached, view, cutoffs)) if cached == object_index => (view, cutoffs),
             _ => {
@@ -169,15 +154,7 @@ impl<'a, P: ProbabilityFunction + Clone> PairEval<'a, P> {
                     BLOCK_SIZE,
                     *self.arena.object_mbr(object_index),
                 );
-                let cutoffs = match self.log_table {
-                    Some(table) => table.tile_cutoffs(view.len(), self.tau),
-                    None => TileCutoffs {
-                        influenced_below: 0.0,
-                        not_influenced_at: 0.0,
-                        thr_inf: 0.0,
-                        thr_not: 0.0,
-                    },
-                };
+                let cutoffs = table.tile_cutoffs(view.len(), self.tau);
                 self.view = Some((object_index, view, cutoffs));
                 (view, cutoffs)
             }
@@ -188,11 +165,11 @@ impl<'a, P: ProbabilityFunction + Clone> PairEval<'a, P> {
     /// (`Pr_c(O) ≥ τ`), recording the pair's cost into `stats`.
     ///
     /// `early_stop` selects the Lemma 4 early exit on the scalar path
-    /// (Strategy 2); the blocked kernel always bounds in both
+    /// (Strategy 2); the log-blocked kernel always bounds in both
     /// directions and ignores the flag. Every call adds exactly one
     /// `validated_pairs`, and the pair's positions are fully accounted:
     /// on the scalar path the early exit's unevaluated tail is implicit
-    /// in `positions_evaluated < n`, on the blocked path the identity
+    /// in `positions_evaluated < n`, on the log-blocked path the identity
     /// `positions_evaluated + positions_skipped_by_blocks = n` holds
     /// per pair.
     // pinocchio-hot: the per-pair dispatch every solver validates through
@@ -204,8 +181,8 @@ impl<'a, P: ProbabilityFunction + Clone> PairEval<'a, P> {
         stats: &mut SolveStats,
     ) -> bool {
         stats.validated_pairs += 1;
-        match self.kernel {
-            EvalKernel::Scalar => {
+        match self.log_table {
+            None => {
                 let object = &self.objects[object_index];
                 let outcome = if early_stop {
                     self.eval
@@ -220,21 +197,8 @@ impl<'a, P: ProbabilityFunction + Clone> PairEval<'a, P> {
                 stats.positions_evaluated += outcome.positions_evaluated as u64;
                 outcome.influenced
             }
-            EvalKernel::Blocked => {
-                let (view, _) = self.blocks(object_index);
-                let outcome =
-                    self.eval
-                        .influences_blocked(candidate, &view, self.tau, &mut self.scratch);
-                stats.positions_evaluated += outcome.positions_evaluated as u64;
-                stats.positions_skipped_by_blocks += outcome.positions_skipped as u64;
-                stats.blocks_pruned += outcome.blocks_pruned as u64;
-                outcome.influenced
-            }
-            EvalKernel::LogBlocked => {
-                let (view, _) = self.blocks(object_index);
-                let table = self
-                    .log_table
-                    .expect("LogBlocked resolved in new() only with a table"); // pinocchio-lint: allow(panic-path) -- unreachable by construction: new() downgrades LogBlocked to Blocked when the table is absent
+            Some(table) => {
+                let (view, _) = self.blocks(object_index, table);
                 let outcome = self.eval.influences_log_blocked(
                     candidate,
                     &view,
@@ -260,8 +224,8 @@ impl<'a, P: ProbabilityFunction + Clone> PairEval<'a, P> {
     /// log-blocked kernel can run its O(1) object-level pre-check across
     /// the tile with the object MBR and thresholds set up once (see
     /// [`CumulativeProbability::influences_log_blocked_tile`]). On the
-    /// scalar and blocked kernels the tile degenerates to the per-pair
-    /// loop, bit-identical to the historical behaviour.
+    /// scalar kernel the tile degenerates to the per-pair loop,
+    /// bit-identical to the historical behaviour.
     // pinocchio-hot: the tiled dispatch of the validation-dominated solvers
     pub fn influences_tile(
         &mut self,
@@ -271,31 +235,31 @@ impl<'a, P: ProbabilityFunction + Clone> PairEval<'a, P> {
         stats: &mut SolveStats,
     ) -> u32 {
         debug_assert!(candidates.len() <= LOG_TILE_WIDTH.max(1));
-        if self.kernel == EvalKernel::LogBlocked && candidates.len() > 1 {
-            stats.validated_pairs += candidates.len() as u64;
-            let (view, cutoffs) = self.blocks(object_index);
-            let table = self
-                .log_table
-                .expect("LogBlocked resolved in new() only with a table"); // pinocchio-lint: allow(panic-path) -- unreachable by construction: new() downgrades LogBlocked to Blocked when the table is absent
-            let out = self.eval.influences_log_blocked_tile(
-                candidates,
-                &view,
-                self.tau,
-                table,
-                cutoffs,
-                &mut self.log_scratch,
-            );
-            stats.positions_evaluated += out.positions_evaluated as u64;
-            stats.positions_skipped_by_blocks += out.positions_skipped as u64;
-            stats.blocks_pruned += out.blocks_pruned as u64;
-            stats.log_band_fallbacks += u64::from(out.band_fallbacks);
-            out.influenced_mask
-        } else {
-            let mut mask = 0u32;
-            for (j, c) in candidates.iter().enumerate() {
-                mask |= u32::from(self.influences(c, object_index, early_stop, stats)) << j;
+        match self.log_table {
+            Some(table) if candidates.len() > 1 => {
+                stats.validated_pairs += candidates.len() as u64;
+                let (view, cutoffs) = self.blocks(object_index, table);
+                let out = self.eval.influences_log_blocked_tile(
+                    candidates,
+                    &view,
+                    self.tau,
+                    table,
+                    cutoffs,
+                    &mut self.log_scratch,
+                );
+                stats.positions_evaluated += out.positions_evaluated as u64;
+                stats.positions_skipped_by_blocks += out.positions_skipped as u64;
+                stats.blocks_pruned += out.blocks_pruned as u64;
+                stats.log_band_fallbacks += u64::from(out.band_fallbacks);
+                out.influenced_mask
             }
-            mask
+            _ => {
+                let mut mask = 0u32;
+                for (j, c) in candidates.iter().enumerate() {
+                    mask |= u32::from(self.influences(c, object_index, early_stop, stats)) << j;
+                }
+                mask
+            }
         }
     }
 }
@@ -326,44 +290,32 @@ mod tests {
     #[test]
     fn kernels_agree_on_verdicts() {
         let scalar = problem(EvalKernel::Scalar);
-        let blocked = problem(EvalKernel::Blocked);
         let log = problem(EvalKernel::LogBlocked);
         let mut ps = scalar.pair_eval();
-        let mut pb = blocked.pair_eval();
         let mut pl = log.pair_eval();
         assert_eq!(pl.kernel(), EvalKernel::LogBlocked);
         let mut s_stats = SolveStats::default();
-        let mut b_stats = SolveStats::default();
         let mut l_stats = SolveStats::default();
         for k in 0..2 {
             for c in scalar.candidates() {
                 for early in [false, true] {
-                    let expect = ps.influences(c, k, early, &mut s_stats);
                     assert_eq!(
-                        expect,
-                        pb.influences(c, k, early, &mut b_stats),
-                        "blocked: object {k} candidate {c:?} early={early}"
-                    );
-                    assert_eq!(
-                        expect,
+                        ps.influences(c, k, early, &mut s_stats),
                         pl.influences(c, k, early, &mut l_stats),
                         "log-blocked: object {k} candidate {c:?} early={early}"
                     );
                 }
             }
         }
-        assert_eq!(s_stats.validated_pairs, b_stats.validated_pairs);
         assert_eq!(s_stats.validated_pairs, l_stats.validated_pairs);
         assert_eq!(s_stats.positions_skipped_by_blocks, 0);
         assert_eq!(s_stats.blocks_pruned, 0);
         assert_eq!(s_stats.log_band_fallbacks, 0);
-        assert_eq!(b_stats.log_band_fallbacks, 0);
     }
 
     #[test]
     fn tile_width_is_one_except_log_blocked() {
         assert_eq!(problem(EvalKernel::Scalar).pair_eval().tile_width(), 1);
-        assert_eq!(problem(EvalKernel::Blocked).pair_eval().tile_width(), 1);
         assert_eq!(
             problem(EvalKernel::LogBlocked).pair_eval().tile_width(),
             LOG_TILE_WIDTH
@@ -373,7 +325,7 @@ mod tests {
     #[test]
     fn log_blocked_downgrades_without_a_table() {
         // A PF with PF(0) = 1 defeats the log table (ln(1 − 1) = −∞);
-        // the kernel must transparently resolve to Blocked and still
+        // the kernel must transparently resolve to Scalar and still
         // produce scalar-identical verdicts.
         #[derive(Clone, Debug)]
         struct Saturated;
@@ -404,7 +356,7 @@ mod tests {
         let log = build(EvalKernel::LogBlocked);
         let scalar = build(EvalKernel::Scalar);
         let mut pl = log.pair_eval();
-        assert_eq!(pl.kernel(), EvalKernel::Blocked, "downgraded");
+        assert_eq!(pl.kernel(), EvalKernel::Scalar, "downgraded");
         assert_eq!(pl.tile_width(), 1);
         let mut ps = scalar.pair_eval();
         let mut stats = SolveStats::default();
@@ -417,8 +369,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_accounting_is_total_per_pair() {
-        let p = problem(EvalKernel::Blocked);
+    fn log_blocked_accounting_is_total_per_pair() {
+        let p = problem(EvalKernel::LogBlocked);
         let mut pair = p.pair_eval();
         let total_positions: u64 = p.objects().iter().map(|o| o.position_count() as u64).sum();
         let mut stats = SolveStats::default();

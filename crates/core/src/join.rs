@@ -98,7 +98,7 @@ pub fn solve<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> SolveResul
     let mut influences = vec![0u32; m];
     let tile_width = pair.tile_width();
     if tile_width <= 1 {
-        // Historical per-candidate loop (Scalar / Blocked kernels):
+        // Historical per-candidate loop (Scalar kernel):
         // verdict order, stats and counters exactly as before.
         let mut undecided: Vec<u32> = Vec::new();
         for (j, c) in problem.candidates().iter().enumerate() {

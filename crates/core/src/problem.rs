@@ -173,7 +173,7 @@ impl<P: ProbabilityFunction + Clone> PrimeLs<P> {
     /// through, built on first call and cached; `None` when the PF
     /// defeats table construction (e.g. `PF(0) = 1` makes
     /// `ln(1 − PF)` diverge), in which case [`Self::pair_eval`]
-    /// transparently downgrades LogBlocked to the blocked kernel.
+    /// transparently downgrades LogBlocked to the scalar kernel.
     pub fn log_pf_table(&self) -> Option<&LogPfTable> {
         self.log_table
             .get_or_init(|| LogPfTable::try_new(&self.pf))
@@ -192,15 +192,16 @@ impl<P: ProbabilityFunction + Clone> PrimeLs<P> {
     /// The per-pair evaluation context used by all solvers: evaluator +
     /// both position layouts + `τ` + the kernel selection.
     pub fn pair_eval(&self) -> PairEval<'_, P> {
+        // Without a table (the PF defeated its construction) LogBlocked
+        // runs as the always-available scalar kernel.
         let table = match self.kernel {
             EvalKernel::LogBlocked => self.log_pf_table(),
-            _ => None,
+            EvalKernel::Scalar => None,
         };
         PairEval::new(
             self.evaluator(),
             &self.objects,
             &self.arena,
-            self.kernel,
             self.tau,
             table,
         )

@@ -86,7 +86,8 @@ pub struct SolveStats {
     /// Objects that can never be influenced (`minMaxRadius` undefined).
     pub uninfluenceable_objects: u64,
     /// Position blocks whose contribution was bounded from the block MBR
-    /// and never refined (blocked kernel only; zero on the scalar path).
+    /// and never refined (log-blocked kernel only; zero on the scalar
+    /// path).
     pub blocks_pruned: u64,
     /// Positions inside pruned blocks — decided without a `PF(dist)`
     /// evaluation. For every validated pair the identity

@@ -20,7 +20,7 @@
 //! applies *within* an object to every block, so an evaluation kernel
 //! can bound a block's contribution to the non-influence product from
 //! two distances instead of evaluating [`BLOCK_SIZE`] positions — see
-//! `pinocchio_prob`'s blocked evaluator and DESIGN.md §10.
+//! `pinocchio_prob`'s log-domain blocked evaluator and DESIGN.md §10.
 
 use crate::object::MovingObject;
 use pinocchio_geo::Mbr;

@@ -18,7 +18,7 @@
 //!   structurally shared snapshot is built on (O(pages) clone, plain
 //!   indexing, a write copies at most one page),
 //! * [`arena`] — the flat structure-of-arrays [`PositionArena`] with
-//!   per-block MBRs that backs the blocked evaluation kernel,
+//!   per-block MBRs that backs the log-blocked evaluation kernel,
 //! * [`poslog`] — the structurally shared, append-friendly
 //!   [`PositionLog`] backing the dynamic maintenance path (O(1)
 //!   amortised append, a [`CowVec`] of positions),

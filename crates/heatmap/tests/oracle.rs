@@ -4,7 +4,7 @@
 //! per-point influence count on a dense in-tile point grid, the centre
 //! `sample` against the exact count at the centre, and `top_region`
 //! against an argmax scan over the full heat map — across random
-//! seeds × τ × all three evaluation kernels.
+//! seeds × τ × both evaluation kernels.
 
 use pinocchio_core::{EvalKernel, PrimeLs};
 use pinocchio_data::MovingObject;
@@ -63,11 +63,7 @@ fn frame() -> Mbr {
     )
 }
 
-const KERNELS: [EvalKernel; 3] = [
-    EvalKernel::Scalar,
-    EvalKernel::Blocked,
-    EvalKernel::LogBlocked,
-];
+const KERNELS: [EvalKernel; 2] = [EvalKernel::Scalar, EvalKernel::LogBlocked];
 
 #[test]
 fn tiles_match_the_brute_force_oracle() {
@@ -123,7 +119,6 @@ fn tiles_match_the_brute_force_oracle() {
             // The kernels are verdict-exact replicas of each other, so
             // the emitted grids agree bit-for-bit.
             assert_eq!(per_kernel[0], per_kernel[1]);
-            assert_eq!(per_kernel[0], per_kernel[2]);
         }
     }
 }

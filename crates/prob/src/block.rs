@@ -1,13 +1,13 @@
-//! Block-bounded influence evaluation over a structure-of-arrays
-//! position layout.
+//! Blocked structure-of-arrays position views and the exact
+//! product-space block refinement.
 //!
-//! The scalar evaluator ([`crate::CumulativeProbability::influences`])
-//! pays one distance and one `PF` call per position. This module bounds
-//! whole *blocks* of positions at once: for a block of `B` positions
-//! whose MBR is `R` and a candidate `c`, every position `p` of the block
+//! [`SoaBlocks`] borrows one object's positions as coordinate rows cut
+//! into fixed-size blocks, each with its MBR (see
+//! `pinocchio_data::PositionArena`). For a block of `B` positions whose
+//! MBR is `R` and a candidate `c`, every position `p` of the block
 //! satisfies `minDist(c, R) ≤ dist(c, p) ≤ maxDist(c, R)`, so by the
 //! monotonicity of `PF` the block's contribution to the non-influence
-//! product `∏ (1 − PF(dist(c, p)))` is bounded by
+//! sum is bounded by
 //!
 //! ```text
 //! B · ln(1 − PF(minDist(c, R)))  ≤  Σ ln(1 − PF(dist(c, p)))  ≤  B · ln(1 − PF(maxDist(c, R)))
@@ -15,68 +15,22 @@
 //!
 //! — the same `minDist`/`maxDist` argument the paper's Theorems 1–2 make
 //! at whole-object granularity, applied within the object (DESIGN.md
-//! §10 derives this in full). Equivalently, in product space,
-//!
-//! ```text
-//! (1 − PF(minDist(c, R)))^B  ≤  ∏ (1 − PF(dist(c, p)))  ≤  (1 − PF(maxDist(c, R)))^B
-//! ```
-//!
-//! which is the form the kernel actually evaluates: `powi` is a handful
-//! of multiplications (repeated squaring), where the log form costs a
-//! `ln_1p` per bound — too expensive for a hot loop whose whole point
-//! is to beat a multiply-per-position scan. Underflow, the usual reason
-//! to prefer log space, is harmless here: a product bound that
-//! underflows towards zero only ever *relaxes* a decision into exact
-//! refinement (or certifies influence with astronomical margin), never
-//! flips one. The object is declared `influenced` / `not influenced`
-//! as soon as the accumulated bounds clear `1 − τ` with a safety
-//! margin, and only the straddling blocks are *refined* with an exact
-//! squared-distance scan over the coordinate rows.
+//! §10 derives this in full). The log-domain kernel
+//! ([`crate::logdomain`]) accumulates these bounds against `ln(1 − τ)`
+//! and refines only the straddling blocks.
 //!
 //! ## Exactness
 //!
-//! Bound decisions fire only when they clear the threshold by a guard
-//! band that dominates every floating-point slop in the bound
-//! computation, so a bound-decided verdict always equals the exact
-//! verdict. When no bound decides, the kernel refines block after block
-//! with the *same multiplication sequence* the scalar path executes
-//! (storage order, `non_influence *= 1 − PF(dist)`), so a fully refined
-//! evaluation returns the bit-identical product and verdict of
-//! [`crate::CumulativeProbability::influences`]. The cross-kernel
-//! property tests in `pinocchio-core` enforce this end to end.
+//! Pairs the log kernel's guard band cannot decide are resolved by an
+//! exact scan over the same view. That scan ([`CumulativeProbability`]'s
+//! crate-internal `refine_block`) multiplies `1 − PF(dist)` factors in
+//! storage order, the *same multiplication sequence* the scalar path
+//! executes, so a fully refined evaluation returns the bit-identical
+//! product and verdict of [`crate::CumulativeProbability::influences`].
 
 use crate::cumulative::CumulativeProbability;
 use crate::pf::ProbabilityFunction;
 use pinocchio_geo::{Euclidean, Mbr, Point};
-
-/// Relative guard band for bound decisions, in product space.
-///
-/// Bound products carry relative rounding on the order of a few ulps
-/// per factor (the distance, `PF`, `powi`, the running multiply), and
-/// the scalar product they must agree with carries the same; per-object
-/// position counts keep the accumulated error far below `1e-9`.
-/// Verdicts inside the guard band are resolved by exact refinement,
-/// never by the bounds.
-const GUARD: f64 = 1e-9;
-
-/// Absolute guard floor. The scalar verdict is `1 − product ≥ τ`, and
-/// the subtraction from `1.0` rounds at `ulp(1) ≈ 2.2e-16` no matter
-/// how small `1 − τ` is; an absolute `1e-15` keeps bound decisions
-/// sound even when the relative band `(1 − τ)·GUARD` degenerates
-/// (τ → 1, where it also correctly disables the influenced-by-bound
-/// exit entirely: `thr_lo < 0` can never fire).
-const GUARD_ABS: f64 = 1e-15;
-
-/// Reusable scratch for [`CumulativeProbability::influences_blocked`]:
-/// per-block bound factors, rewritten in place into suffix products
-/// between the bounding and refinement passes. One instance per
-/// evaluation thread amortises the allocation across every pair the
-/// thread validates.
-#[derive(Debug, Clone, Default)]
-pub struct BlockScratch {
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-}
 
 /// A borrowed view of one object's positions in blocked
 /// structure-of-arrays form (see `pinocchio_data::PositionArena`).
@@ -202,42 +156,7 @@ impl<'a> SoaBlocks<'a> {
     }
 }
 
-/// Outcome of a blocked influence evaluation.
-///
-/// The position accounting is total: `positions_evaluated +
-/// positions_skipped` always equals the number of positions in the
-/// view, which is what keeps the solver-level stats invariant
-/// (`skipped + evaluated = total`) checkable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BlockedOutcome {
-    /// Whether the candidate influences the object (`Pr_c(O) ≥ τ`) —
-    /// always identical to the scalar verdict.
-    pub influenced: bool,
-    /// Positions whose probability was evaluated exactly (refinement).
-    pub positions_evaluated: usize,
-    /// Positions decided purely through their block's bounds.
-    pub positions_skipped: usize,
-    /// Blocks never refined (bounded only).
-    pub blocks_pruned: usize,
-    /// Upper bound on the full non-influence product
-    /// `∏ (1 − PF(dist))`; exact (and bit-identical to the scalar
-    /// product) when every block was refined. This is the same contract
-    /// [`crate::EarlyStopOutcome::non_influence_product`] documents for
-    /// the scalar early exit, and it is debug-asserted on every return.
-    pub non_influence_product: f64,
-}
-
 impl<P: ProbabilityFunction> CumulativeProbability<P, Euclidean> {
-    // Bound factor conventions (PF is monotone decreasing): the block's
-    // nearest distance gives the largest per-position probability and so
-    // the smallest factor — `f_lo = (1 − PF(minDist))^len` — while the
-    // farthest distance gives `f_hi = (1 − PF(maxDist))^len`. The
-    // probabilities are clamped into [0, 1] because PF implementations
-    // may overshoot 1 by an ulp, which would make `1 − p` negative and
-    // the `powi` bound sign-flipping nonsense. `powi` lowers to repeated
-    // squaring — four multiplies for a 16-position block, versus a
-    // `ln_1p` call in log space.
-
     /// Exact scalar product of a refined block, multiplied into
     /// `product` with the same *multiplication sequence* the scalar
     /// evaluator uses (storage order, one multiply per position) so a
@@ -282,223 +201,6 @@ impl<P: ProbabilityFunction> CumulativeProbability<P, Euclidean> {
             *product *= 1.0 - self.pf().prob((dx * dx + dy * dy).sqrt());
         }
     }
-
-    /// Influence test over a blocked structure-of-arrays view.
-    ///
-    /// The verdict is always identical to
-    /// [`Self::influences`] on the same positions; only the amount of
-    /// work differs. See the module docs for the bounding argument and
-    /// the exactness contract.
-    // pinocchio-hot: per-(candidate, object) bounding kernel of the blocked solver
-    pub fn influences_blocked(
-        &self,
-        candidate: &Point,
-        blocks: &SoaBlocks<'_>,
-        tau: f64,
-        scratch: &mut BlockScratch,
-    ) -> BlockedOutcome {
-        let n = blocks.len();
-        let nblocks = blocks.block_count();
-        // Influenced ⇔ product ≤ 1 − τ. Bound decisions must clear the
-        // threshold by the guard band; anything closer refines. With
-        // τ ≥ 1 the influenced side (`thr_lo < 0`) can never fire and
-        // the not-influenced side fires for any positive lower bound —
-        // exactly the scalar semantics (a product > 0 cannot reach
-        // cumulative probability 1).
-        let thr = 1.0 - tau;
-        let thr_lo = thr * (1.0 - GUARD) - GUARD_ABS;
-        let thr_hi = thr * (1.0 + GUARD) + GUARD_ABS;
-
-        // ---- bounding pass, upper side -------------------------------
-        // Running upper product bound over the blocks seen so far, with
-        // the per-block factors saved for the refinement pass. Factors
-        // are ≤ 1, so unseen blocks only push the true product further
-        // down: once `hi` alone clears the threshold the object is
-        // influenced no matter what the remaining blocks hold (the
-        // block-level analogue of the Lemma 4 early exit). Influenced
-        // pairs — the common case in bound-driven validation — exit here
-        // having paid for one distance and one `PF` call per block, so
-        // the lower-bound side is deliberately deferred.
-        scratch.hi.clear();
-        let mut hi_all = 1.0f64;
-        for (b, mbr) in blocks.mbrs.iter().enumerate() {
-            #[allow(clippy::cast_possible_truncation)]
-            let len = blocks.block_range(b).len() as i32; // pinocchio-lint: allow(cast-truncation) -- a block holds at most BLOCK_SIZE = 16 positions
-            let p_lo = self.pf().prob(mbr.max_dist(candidate)).clamp(0.0, 1.0);
-            let f_hi = (1.0 - p_lo).powi(len);
-            scratch.hi.push(f_hi);
-            hi_all *= f_hi;
-            if hi_all < thr_lo {
-                return self.bounded_outcome(candidate, blocks, tau, true, hi_all);
-            }
-        }
-
-        // ---- bounding pass, lower side -------------------------------
-        // Only pairs the upper bound could not decide pay for the
-        // nearest-distance side. The total lower bound decides the far
-        // (never-influenced) pairs without touching a single position.
-        scratch.lo.clear();
-        let mut lo_all = 1.0f64;
-        for (b, mbr) in blocks.mbrs.iter().enumerate() {
-            #[allow(clippy::cast_possible_truncation)]
-            let len = blocks.block_range(b).len() as i32; // pinocchio-lint: allow(cast-truncation) -- a block holds at most BLOCK_SIZE = 16 positions
-            let p_hi = self.pf().prob(mbr.min_dist(candidate)).clamp(0.0, 1.0);
-            let f_lo = (1.0 - p_hi).powi(len);
-            scratch.lo.push(f_lo);
-            lo_all *= f_lo;
-        }
-        if lo_all > thr_hi {
-            return self.bounded_outcome(candidate, blocks, tau, false, hi_all);
-        }
-
-        // ---- refinement pass -----------------------------------------
-        // The total straddles the threshold: replace block bounds with
-        // exact contributions, in storage order, until the combination
-        // of exact-so-far and still-bounded-remainder decides. The
-        // remainder bounds are inclusive suffix products, computed in
-        // place over the saved factors (`scratch.lo[b] = ∏_{i≥b} f_lo[i]`
-        // and likewise for `hi`) — no per-block bound is ever computed
-        // twice.
-        let mut acc = 1.0f64;
-        for f in scratch.lo.iter_mut().rev() {
-            acc *= *f;
-            *f = acc;
-        }
-        let mut acc = 1.0f64;
-        for f in scratch.hi.iter_mut().rev() {
-            acc *= *f;
-            *f = acc;
-        }
-
-        let mut product = 1.0f64;
-        let mut evaluated = 0usize;
-        for b in 0..nblocks {
-            let upper = product * scratch.hi[b];
-            if upper < thr_lo {
-                return self.checked(
-                    candidate,
-                    blocks,
-                    tau,
-                    BlockedOutcome {
-                        influenced: true,
-                        positions_evaluated: evaluated,
-                        positions_skipped: n - evaluated,
-                        blocks_pruned: nblocks - b,
-                        non_influence_product: upper.min(1.0),
-                    },
-                );
-            }
-            if product * scratch.lo[b] > thr_hi {
-                return self.checked(
-                    candidate,
-                    blocks,
-                    tau,
-                    BlockedOutcome {
-                        influenced: false,
-                        positions_evaluated: evaluated,
-                        positions_skipped: n - evaluated,
-                        blocks_pruned: nblocks - b,
-                        non_influence_product: upper.min(1.0),
-                    },
-                );
-            }
-            self.refine_block(candidate, blocks, b, &mut product);
-            evaluated += blocks.block_range(b).len();
-            // Exact mid-refinement influenced exit: the scalar early
-            // stop's own comparison (`non_influence <= 1 − τ`) applied
-            // to the running prefix product. No guard band is needed —
-            // every remaining factor is ≤ 1, so the full product can
-            // only be smaller and the scalar verdict follows by the
-            // same monotone argument as `influences_early_stop`.
-            if product <= thr {
-                return self.checked(
-                    candidate,
-                    blocks,
-                    tau,
-                    BlockedOutcome {
-                        influenced: true,
-                        positions_evaluated: evaluated,
-                        positions_skipped: n - evaluated,
-                        blocks_pruned: nblocks - b - 1,
-                        non_influence_product: product,
-                    },
-                );
-            }
-        }
-
-        // Every block refined: the exact scalar comparison, bit-identical
-        // to `influences` (same factors, same order, same final test).
-        self.checked(
-            candidate,
-            blocks,
-            tau,
-            BlockedOutcome {
-                influenced: 1.0 - product >= tau,
-                positions_evaluated: evaluated,
-                positions_skipped: n - evaluated,
-                blocks_pruned: 0,
-                non_influence_product: product,
-            },
-        )
-    }
-
-    /// Outcome for a verdict reached purely from block bounds.
-    fn bounded_outcome(
-        &self,
-        candidate: &Point,
-        blocks: &SoaBlocks<'_>,
-        tau: f64,
-        influenced: bool,
-        upper: f64,
-    ) -> BlockedOutcome {
-        self.checked(
-            candidate,
-            blocks,
-            tau,
-            BlockedOutcome {
-                influenced,
-                positions_evaluated: 0,
-                positions_skipped: blocks.len(),
-                blocks_pruned: blocks.block_count(),
-                non_influence_product: upper.min(1.0),
-            },
-        )
-    }
-
-    /// Debug-mode contract check: the reported product must be an upper
-    /// bound on the full non-influence product, and the verdict must
-    /// match the exhaustive scalar verdict — the same promise
-    /// [`crate::EarlyStopOutcome::non_influence_product`] makes for the
-    /// scalar early exit. Release builds return the outcome untouched.
-    #[inline]
-    fn checked(
-        &self,
-        candidate: &Point,
-        blocks: &SoaBlocks<'_>,
-        tau: f64,
-        outcome: BlockedOutcome,
-    ) -> BlockedOutcome {
-        #[cfg(debug_assertions)]
-        {
-            let mut full = 1.0f64;
-            for b in 0..blocks.block_count() {
-                self.refine_block(candidate, blocks, b, &mut full);
-            }
-            debug_assert!(
-                outcome.non_influence_product >= full - 1e-12,
-                "reported product {} is not an upper bound on the full product {}",
-                outcome.non_influence_product,
-                full
-            );
-            debug_assert_eq!(
-                outcome.influenced,
-                1.0 - full >= tau,
-                "blocked verdict diverges from the scalar verdict (tau = {tau})"
-            );
-        }
-        let _ = (candidate, blocks, tau);
-        outcome
-    }
 }
 
 #[cfg(test)]
@@ -530,138 +232,66 @@ mod tests {
             .collect()
     }
 
+    /// The product of every block of `view`, refined in order.
+    fn refined_product(
+        e: &CumulativeProbability<PowerLawPf, Euclidean>,
+        c: &Point,
+        view: &SoaBlocks<'_>,
+    ) -> f64 {
+        let mut product = 1.0f64;
+        for b in 0..view.block_count() {
+            e.refine_block(c, view, b, &mut product);
+        }
+        product
+    }
+
     #[test]
-    fn verdict_matches_scalar_everywhere() {
+    fn fully_refined_product_is_bit_identical_to_scalar() {
         let e = eval();
-        let mut scratch = BlockScratch::default();
-        for n in [1usize, 3, 16, 17, 50, 100] {
+        // Block sizes below, at and above the 16-wide refinement lane,
+        // and lengths that leave ragged final blocks and lane tails.
+        for n in [1usize, 15, 16, 17, 40, 100] {
             let pts = grid(n);
             let points: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
-            let (xs, ys, mbrs) = soa(&pts, 16);
-            let view = SoaBlocks::new(&xs, &ys, &mbrs, 16);
-            for tau in [0.1, 0.3, 0.5, 0.7, 0.9] {
-                for cx in [-50.0, -3.0, 0.0, 2.5, 40.0, 400.0] {
-                    let c = Point::new(cx, 1.0);
-                    let scalar = e.influences(&c, &points, tau);
-                    let blocked = e.influences_blocked(&c, &view, tau, &mut scratch);
-                    assert_eq!(blocked.influenced, scalar, "n={n} tau={tau} cx={cx}");
+            for block_size in [1usize, 7, 16, 32] {
+                let (xs, ys, mbrs) = soa(&pts, block_size);
+                let view = SoaBlocks::new(&xs, &ys, &mbrs, block_size);
+                for cx in [-50.0, 0.0, 2.5, 6.0, 400.0] {
+                    let c = Point::new(cx, 2.0);
+                    // The scalar evaluator's running product, reproduced
+                    // factor for factor (the loop inside `cumulative`).
+                    let mut scalar_product = 1.0_f64;
+                    for p in &points {
+                        scalar_product *= 1.0 - e.position_probability(&c, p);
+                    }
+                    let product = refined_product(&e, &c, &view);
                     assert_eq!(
-                        blocked.positions_evaluated + blocked.positions_skipped,
-                        n,
-                        "position accounting must be total"
+                        product.to_bits(),
+                        scalar_product.to_bits(),
+                        "n={n} block={block_size} cx={cx}: full refinement must \
+                         reproduce the scalar product bit for bit"
                     );
+                    // On the boundary τ the verdict hinges on the last ulp.
+                    let tau = e.cumulative(&c, &points);
+                    if tau > 0.0 {
+                        assert_eq!(1.0 - product >= tau, e.influences(&c, &points, tau));
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn far_candidate_prunes_every_block() {
-        let pts = grid(64);
-        let (xs, ys, mbrs) = soa(&pts, 16);
-        let view = SoaBlocks::new(&xs, &ys, &mbrs, 16);
-        let out = eval().influences_blocked(
-            &Point::new(1000.0, 1000.0),
-            &view,
-            0.7,
-            &mut BlockScratch::default(),
-        );
-        assert!(!out.influenced);
-        assert_eq!(out.positions_evaluated, 0);
-        assert_eq!(out.positions_skipped, 64);
-        assert_eq!(out.blocks_pruned, 4);
-    }
-
-    #[test]
-    fn near_candidate_decides_from_the_first_blocks() {
-        // Candidate inside the first block's MBR with a lax threshold:
-        // the upper bound of the early blocks already certifies
-        // influence, so later blocks are never bounded or refined.
-        let pts = grid(160);
-        let (xs, ys, mbrs) = soa(&pts, 16);
-        let view = SoaBlocks::new(&xs, &ys, &mbrs, 16);
-        let out = eval().influences_blocked(
-            &Point::new(0.8, 0.3),
-            &view,
-            0.3,
-            &mut BlockScratch::default(),
-        );
-        assert!(out.influenced);
-        assert_eq!(out.positions_evaluated, 0, "bounds alone should decide");
-        assert_eq!(out.positions_skipped, 160);
-    }
-
-    #[test]
-    fn fully_refined_product_is_bit_identical_to_scalar() {
-        let e = eval();
-        let mut scratch = BlockScratch::default();
-        // A candidate at a middling distance with a near-threshold τ is
-        // the worst case: bounds cannot decide, every block refines.
+    fn object_mbr_is_the_union_of_block_mbrs() {
         let pts = grid(40);
-        let points: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let (xs, ys, mbrs) = soa(&pts, 16);
         let view = SoaBlocks::new(&xs, &ys, &mbrs, 16);
-        let c = Point::new(6.0, 2.0);
-        // The scalar evaluator's running product, reproduced factor for
-        // factor (this is exactly the loop inside `cumulative`).
-        let mut scalar_product = 1.0_f64;
-        for p in &points {
-            scalar_product *= 1.0 - e.position_probability(&c, p);
-        }
-        let tau = e.cumulative(&c, &points); // on the boundary: must refine
-        let out = e.influences_blocked(&c, &view, tau, &mut scratch);
-        assert_eq!(out.positions_evaluated, 40);
-        assert_eq!(out.blocks_pruned, 0);
-        assert_eq!(
-            out.non_influence_product.to_bits(),
-            scalar_product.to_bits(),
-            "full refinement must reproduce the scalar product bit for bit"
-        );
-        assert_eq!(out.influenced, e.influences(&c, &points, tau));
-    }
-
-    #[test]
-    fn product_is_an_upper_bound_in_every_mode() {
-        let e = eval();
-        let mut scratch = BlockScratch::default();
-        let pts = grid(80);
-        let points: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let (xs, ys, mbrs) = soa(&pts, 16);
-        let view = SoaBlocks::new(&xs, &ys, &mbrs, 16);
-        for tau in [0.2, 0.5, 0.8] {
-            for cx in [-20.0, 0.5, 3.0, 9.0, 200.0] {
-                let c = Point::new(cx, 0.4);
-                let out = e.influences_blocked(&c, &view, tau, &mut scratch);
-                let full: f64 = points
-                    .iter()
-                    .map(|p| 1.0 - e.position_probability(&c, p))
-                    .product();
-                assert!(
-                    out.non_influence_product >= full - 1e-12,
-                    "tau={tau} cx={cx}: {} < {}",
-                    out.non_influence_product,
-                    full
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn block_size_one_degenerates_to_per_position_bounds() {
-        let mut scratch = BlockScratch::default();
-        let pts = grid(10);
-        let points: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let (xs, ys, mbrs) = soa(&pts, 1);
-        let view = SoaBlocks::new(&xs, &ys, &mbrs, 1);
-        let e = eval();
-        for tau in [0.3, 0.7] {
-            let c = Point::new(2.0, 1.0);
-            assert_eq!(
-                e.influences_blocked(&c, &view, tau, &mut scratch)
-                    .influenced,
-                e.influences(&c, &points, tau)
-            );
-        }
+        assert_eq!(view.len(), 40);
+        assert_eq!(view.block_count(), 3);
+        assert_eq!(view.block_range(2), 32..40);
+        let all: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
+        assert_eq!(view.object_mbr(), Mbr::from_points(&all).as_ref());
+        assert!(SoaBlocks::new(&[], &[], &[], 16).object_mbr().is_none());
     }
 
     #[test]

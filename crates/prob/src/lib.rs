@@ -14,13 +14,13 @@
 //!   concave and linear ([`alt`]),
 //! * cumulative / partial non-influence probability computation with the
 //!   early-stopping rule of Lemma 4 ([`cumulative`]),
-//! * a block-bounded evaluation kernel over structure-of-arrays position
-//!   views — per-block `minDist`/`maxDist` bounds accumulated in log
-//!   space, exact refinement only for straddling blocks ([`block`]),
-//! * a log-domain kernel over the same views — `Σ ln(1 − PF)` against
+//! * blocked structure-of-arrays position views with per-block MBRs and
+//!   the exact, scalar-order block refinement ([`block`]),
+//! * a log-domain kernel over those views — `Σ ln(1 − PF)` against
 //!   `ln(1 − τ)` through a branch-free squared-distance coefficient
-//!   table, with a guard band and exact fallback keeping verdicts equal
-//!   to the scalar evaluator's ([`logdomain`]),
+//!   table, per-block `minDist`/`maxDist` bounds in the same
+//!   accumulator, and a guard band with an exact fallback keeping
+//!   verdicts equal to the scalar evaluator's ([`logdomain`]),
 //! * `minMaxRadius` itself plus the per-`n` memo cache (the HashMap `HM`
 //!   of Algorithm 1) in [`radius`].
 
@@ -35,7 +35,7 @@ pub mod pf;
 pub mod radius;
 
 pub use alt::{ConcavePf, ConvexPf, LinearPf, LogsigPf};
-pub use block::{BlockScratch, BlockedOutcome, SoaBlocks};
+pub use block::SoaBlocks;
 pub use cumulative::{CumulativeProbability, EarlyStopOutcome};
 pub use logdomain::{
     ln_one_minus, log_non_influence, LogBlockedOutcome, LogPfTable, LogScratch, LogTileOutcome,

@@ -1,7 +1,7 @@
 //! Log-domain influence evaluation: `Σ ln(1 − PF(d))` against
 //! `ln(1 − τ)`, with a branch-free table evaluation of the log-PF.
 //!
-//! The scalar and blocked kernels work in product space: a running
+//! The scalar kernel works in product space: a running
 //! `∏ (1 − PF(dist))` compared against `1 − τ`. This module rewrites the
 //! same test as a *sum*,
 //!
@@ -15,7 +15,7 @@
 //! bits of `s` select a quadratic `c₀ + t·(c₁ + t·c₂)`, `t = s − mid`),
 //! so the inner loop is subtract/multiply/add only — no `sqrt`, no
 //! `powi`, no `ln`, no branch per position. Sums have no ordering
-//! constraint (unlike the product-space kernels, which must reproduce
+//! constraint (unlike the exact product-space scan, which must reproduce
 //! the scalar multiply sequence bit for bit), so the refinement loop
 //! runs 4-wide with independent accumulators.
 //!
@@ -49,7 +49,7 @@
 //! `alt` reuse, so the `ln(1 − x)` math lives in exactly one place.
 
 use crate::block::SoaBlocks;
-use crate::cumulative::{CumulativeProbability, EarlyStopOutcome};
+use crate::cumulative::CumulativeProbability;
 use crate::pf::ProbabilityFunction;
 use pinocchio_geo::{Euclidean, Point};
 
@@ -118,7 +118,7 @@ const SLOP_ABS: f64 = 1e-11;
 /// Tables whose measured error bound exceeds this are unusable — the
 /// band would force the exact fallback on essentially every pair, so
 /// [`LogPfTable::try_new`] refuses to build them (callers fall back to
-/// the product-space kernels). This triggers for probability functions
+/// the scalar kernel). This triggers for probability functions
 /// with `PF(0) = 1`, where `g(0) = −∞`.
 const MAX_USABLE_EPS: f64 = 1e-3;
 
@@ -171,7 +171,7 @@ impl LogPfTable {
     /// Builds the table for `pf`, or `None` when the measured error
     /// bound is unusable (non-finite or above [`MAX_USABLE_EPS`] — e.g.
     /// `PF(0) = 1`, whose log diverges at distance zero). Callers treat
-    /// `None` as "use the product-space kernels instead".
+    /// `None` as "use the scalar kernel instead".
     pub fn try_new<P: ProbabilityFunction + ?Sized>(pf: &P) -> Option<LogPfTable> {
         let s_min = (2.0f64).powi(MIN_EXP);
         let s_max = (2.0f64).powi(MAX_EXP);
@@ -354,7 +354,7 @@ pub struct TileCutoffs {
 /// [`CumulativeProbability::influences_log_blocked`]: per-block
 /// upper-bound sums saved by the bounding pass (consumed as a running
 /// remainder in refinement) and lower-bound suffix sums for straddling
-/// pairs (the log-space analogue of [`crate::BlockScratch`]).
+/// pairs.
 #[derive(Debug, Clone, Default)]
 pub struct LogScratch {
     hi: Vec<f64>,
@@ -576,8 +576,7 @@ impl<P: ProbabilityFunction> CumulativeProbability<P, Euclidean> {
         // sum from above (PF monotone ⇒ g(dist²) ≤ g(maxDist²) for
         // every member). True contributions are ≤ 0, so a partial sum
         // clearing `thr_inf` already certifies influence regardless of
-        // the unseen blocks — the block-level Lemma 4 exit, same shape
-        // as the product-space kernel's. Upper side runs first: the
+        // the unseen blocks — the block-level Lemma 4 exit. Upper side runs first: the
         // influenced-side exits (here and in refinement) carry a large
         // share of multi-block straddlers at validation thresholds, so
         // the hi bounds must be in hand before any lower-side work. The
@@ -885,63 +884,6 @@ impl<P: ProbabilityFunction> CumulativeProbability<P, Euclidean> {
         out
     }
 
-    /// Chunked log-domain influence test for the dynamic maintenance
-    /// path: a branch-free table sum over `PositionLog`-style chunks
-    /// with a per-chunk influenced exit, deciding only outside the
-    /// guard band.
-    ///
-    /// Returns `None` when the final sum lands inside the band — the
-    /// caller must then re-evaluate with the exact
-    /// [`Self::influences_early_stop_chunked`] (the chunk iterator is
-    /// consumed, so the fallback needs a fresh one). A `Some` verdict
-    /// is always identical to the exact evaluator's; the evaluated
-    /// count may differ from the scalar early stop's (the exit here is
-    /// per chunk, not per position) and the outcome therefore never
-    /// carries a product.
-    // pinocchio-hot: per-(candidate, object) log-domain kernel of the dynamic path
-    pub fn try_influences_log_chunked<'a>(
-        &self,
-        candidate: &Point,
-        chunks: impl IntoIterator<Item = &'a [Point]>,
-        tau: f64,
-        table: &LogPfTable,
-    ) -> Option<EarlyStopOutcome> {
-        let l = ln_one_minus(tau);
-        let mut sum = 0.0f64;
-        let mut evaluated = 0usize;
-        for chunk in chunks {
-            const LANES: usize = 4;
-            let mut acc = [0.0f64; LANES];
-            let mut it = chunk.chunks_exact(LANES);
-            for row in &mut it {
-                for lane in 0..LANES {
-                    let dx = row[lane].x - candidate.x;
-                    let dy = row[lane].y - candidate.y;
-                    acc[lane] += table.eval(dx * dx + dy * dy);
-                }
-            }
-            let mut tail = 0.0f64;
-            for p in it.remainder() {
-                let dx = p.x - candidate.x;
-                let dy = p.y - candidate.y;
-                tail += table.eval(dx * dx + dy * dy);
-            }
-            sum += (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail;
-            evaluated += chunk.len();
-            // Per-chunk influenced exit: the unseen chunks' true
-            // contributions are ≤ 0, and the band over the positions
-            // seen so far dominates their accumulated table error.
-            if sum <= l - guard_band(evaluated, table.eps, tau) {
-                return Some(EarlyStopOutcome::from_verdict(true, evaluated));
-            }
-        }
-        let band = guard_band(evaluated, table.eps, tau);
-        if sum >= l + band {
-            return Some(EarlyStopOutcome::from_verdict(false, evaluated));
-        }
-        None
-    }
-
     /// Debug-mode contract check: the verdict must match the exhaustive
     /// scalar verdict, and the position accounting must be total.
     /// Release builds return the outcome untouched.
@@ -975,7 +917,6 @@ impl<P: ProbabilityFunction> CumulativeProbability<P, Euclidean> {
 mod tests {
     use super::*;
     use crate::alt::{ConcavePf, ConvexPf, LinearPf, LogsigPf};
-    use crate::block::BlockScratch;
     use crate::pf::PowerLawPf;
     use pinocchio_geo::Mbr;
 
@@ -1200,88 +1141,25 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_product_space_blocked_kernel() {
+    fn agrees_with_the_scalar_kernel() {
         let e = eval();
         let table = LogPfTable::try_new(e.pf()).unwrap();
         let mut log_scratch = LogScratch::default();
-        let mut blk_scratch = BlockScratch::default();
         let pts = grid(80);
+        let points: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let (xs, ys, mbrs) = soa(&pts, 16);
         let view = SoaBlocks::new(&xs, &ys, &mbrs, 16);
         for tau in [0.2, 0.5, 0.8, 0.95] {
             for cx in [-20.0, 0.5, 3.0, 9.0, 200.0] {
                 let c = Point::new(cx, 0.4);
                 let log = e.influences_log_blocked(&c, &view, tau, &table, &mut log_scratch);
-                let blk = e.influences_blocked(&c, &view, tau, &mut blk_scratch);
-                assert_eq!(log.influenced, blk.influenced, "tau={tau} cx={cx}");
+                assert_eq!(
+                    log.influenced,
+                    e.influences(&c, &points, tau),
+                    "tau={tau} cx={cx}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn chunked_variant_matches_exact_verdicts() {
-        let e = eval();
-        let table = LogPfTable::try_new(e.pf()).unwrap();
-        let positions: Vec<Point> = (0..50).map(|i| Point::new(i as f64, 0.0)).collect();
-        for tau in [0.1, 0.5, 0.7, 0.99] {
-            for cx in [0.0, 5.0, 25.0, 100.0] {
-                let c = Point::new(cx, 2.0);
-                let exact = e.influences(&c, &positions, tau);
-                for chunk_size in [1, 3, 7, 50, 64] {
-                    match e.try_influences_log_chunked(
-                        &c,
-                        positions.chunks(chunk_size),
-                        tau,
-                        &table,
-                    ) {
-                        Some(out) => {
-                            assert_eq!(out.influenced, exact, "tau={tau} cx={cx}");
-                            assert!(out.positions_evaluated <= positions.len());
-                            assert_eq!(out.non_influence_product, None);
-                        }
-                        None => {
-                            // In-band: the caller's fallback must agree.
-                            let fb = e.influences_early_stop_chunked(
-                                &c,
-                                positions.chunks(chunk_size),
-                                tau,
-                            );
-                            assert_eq!(fb.influenced, exact);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_boundary_tau_is_undecided() {
-        let e = eval();
-        let table = LogPfTable::try_new(e.pf()).unwrap();
-        let positions: Vec<Point> = (0..20).map(|i| Point::new(i as f64 * 0.9, 0.3)).collect();
-        let c = Point::new(4.0, 0.0);
-        let tau = e.cumulative(&c, &positions);
-        assert!(
-            e.try_influences_log_chunked(&c, positions.chunks(7), tau, &table)
-                .is_none(),
-            "a boundary tau must land inside the band"
-        );
-    }
-
-    #[test]
-    fn chunked_near_candidate_exits_early() {
-        let e = eval();
-        let table = LogPfTable::try_new(e.pf()).unwrap();
-        let positions: Vec<Point> = (0..640).map(|i| Point::new(i as f64, 0.0)).collect();
-        let out = e
-            .try_influences_log_chunked(&Point::ORIGIN, positions.chunks(64), 0.7, &table)
-            .expect("far from the boundary");
-        assert!(out.influenced);
-        assert!(
-            out.positions_evaluated <= 64,
-            "influence is certain after the first chunk: {}",
-            out.positions_evaluated
-        );
     }
 
     #[test]

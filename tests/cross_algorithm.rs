@@ -244,7 +244,7 @@ mod join_property {
         tau: f64,
     ) -> Result<(), TestCaseError> {
         let (objects, candidates) = world(users, cands, seed);
-        for kernel in [EvalKernel::Scalar, EvalKernel::Blocked] {
+        for kernel in [EvalKernel::Scalar, EvalKernel::LogBlocked] {
             let problem = PrimeLs::builder()
                 .objects(objects.clone())
                 .candidates(candidates.clone())

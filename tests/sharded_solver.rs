@@ -11,11 +11,7 @@ use pinocchio::serve::{ShardedWorld, World};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const TAUS: [f64; 3] = [0.5, 0.7, 0.9];
-const KERNELS: [EvalKernel; 3] = [
-    EvalKernel::Scalar,
-    EvalKernel::Blocked,
-    EvalKernel::LogBlocked,
-];
+const KERNELS: [EvalKernel; 2] = [EvalKernel::Scalar, EvalKernel::LogBlocked];
 
 fn world(users: usize, candidates: usize, seed: u64) -> (Vec<MovingObject>, Vec<Point>) {
     let d = SyntheticGenerator::new(GeneratorConfig::small(users, seed)).generate();
